@@ -66,28 +66,9 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Computes the `q`-quantile of a sample (sorted copy; `q` in `[0, 1]`).
-pub fn quantile(sample: &[u64], q: f64) -> u64 {
-    if sample.is_empty() {
-        return 0;
-    }
-    let mut sorted = sample.to_vec();
-    sorted.sort_unstable();
-    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quantiles() {
-        let sample: Vec<u64> = (1..=100).collect();
-        assert_eq!(quantile(&sample, 0.0), 1);
-        assert_eq!(quantile(&sample, 0.5), 51); // index (99*0.5).round()=50 → value 51
-        assert_eq!(quantile(&sample, 1.0), 100);
-        assert_eq!(quantile(&[], 0.5), 0);
-    }
 
     #[test]
     fn formatting() {

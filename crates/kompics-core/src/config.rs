@@ -182,20 +182,6 @@ impl Config {
         self
     }
 
-    /// Enables (default) or disables *batch* work stealing. When disabled,
-    /// thieves steal a single ready component at a time — the baseline the
-    /// paper compares batching against. Compatibility wrapper over
-    /// [`SchedulerSpec::steal_batch`]: `true` maps to the default batch
-    /// size, `false` to single-component steals.
-    pub fn steal_batch(mut self, batch: bool) -> Self {
-        self.scheduler = self.scheduler.steal_batch(if batch {
-            SchedulerSpec::DEFAULT_STEAL_BATCH
-        } else {
-            1
-        });
-        self
-    }
-
     /// Sets the full scheduler configuration (shards, affinity, steal
     /// batching, planted stalls). See [`SchedulerSpec`].
     pub fn scheduler(mut self, spec: SchedulerSpec) -> Self {
@@ -225,11 +211,6 @@ impl Config {
         self.fault_policy
     }
 
-    /// Whether batch work stealing is enabled (steal batch size > 1).
-    pub fn steal_batch_value(&self) -> bool {
-        self.scheduler.steal_batch_size() > 1
-    }
-
     /// The scheduler configuration.
     pub fn scheduler_spec(&self) -> &SchedulerSpec {
         &self.scheduler
@@ -245,7 +226,10 @@ mod tests {
         let c = Config::default();
         assert!(c.worker_count() >= 1);
         assert_eq!(c.throughput_value(), 25);
-        assert!(c.steal_batch_value());
+        assert_eq!(
+            c.scheduler_spec().steal_batch_size(),
+            SchedulerSpec::DEFAULT_STEAL_BATCH
+        );
     }
 
     #[test]
@@ -260,22 +244,11 @@ mod tests {
             .workers(2)
             .throughput(7)
             .fault_policy(FaultPolicy::Collect)
-            .steal_batch(false);
+            .scheduler(SchedulerSpec::default().steal_batch(1));
         assert_eq!(c.worker_count(), 2);
         assert_eq!(c.throughput_value(), 7);
         assert_eq!(c.fault_policy_value(), FaultPolicy::Collect);
-        assert!(!c.steal_batch_value());
         assert_eq!(c.scheduler_spec().steal_batch_size(), 1);
-    }
-
-    #[test]
-    fn steal_batch_bool_maps_onto_spec() {
-        let c = Config::default().steal_batch(true);
-        assert_eq!(
-            c.scheduler_spec().steal_batch_size(),
-            SchedulerSpec::DEFAULT_STEAL_BATCH
-        );
-        assert!(c.steal_batch_value());
     }
 
     #[test]

@@ -242,7 +242,7 @@ pub(crate) enum Enqueued {
 
 /// Aggregated admission feedback for one trigger: what every mailbox the
 /// event fanned out to (directly or through channels) reported. Returned by
-/// [`PortRef::trigger_feedback`](crate::port::PortRef::trigger_feedback).
+/// [`PortRef::trigger`](crate::port::PortRef::trigger).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Feedback {
     /// At least one destination lane is saturated under

@@ -674,35 +674,22 @@ impl<P: PortType> PortRef<P> {
     /// of a provided port sends a request in; triggering on the inside half
     /// of a required port sends a request out.
     ///
+    /// Returns the aggregated mailbox [`Feedback`] of every component the
+    /// event reached. Producers that cooperate with back-pressure (the TCP
+    /// read path, the timer thread, rate-limited generators) check
+    /// [`Feedback::pushback`] and slow down; producers that don't care
+    /// ignore it.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::EventNotAllowed`] if the port type does not allow
     /// the event in that direction.
-    pub fn trigger(&self, event: impl Event) -> Result<(), CoreError> {
+    pub fn trigger(&self, event: impl Event) -> Result<Feedback, CoreError> {
         self.trigger_shared(Arc::new(event))
     }
 
     /// Like [`PortRef::trigger`] but takes an already-shared event.
-    pub fn trigger_shared(&self, event: EventRef) -> Result<(), CoreError> {
-        self.trigger_shared_feedback(event).map(|_| ())
-    }
-
-    /// Like [`PortRef::trigger`], but additionally reports the aggregated
-    /// mailbox [`Feedback`] of every component the event reached. Producers
-    /// that cooperate with back-pressure (the TCP read path, rate-limited
-    /// generators) check [`Feedback::pushback`] and slow down; producers
-    /// that don't care use [`PortRef::trigger`] and get today's semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EventNotAllowed`] if the port type does not allow
-    /// the event in that direction.
-    pub fn trigger_feedback(&self, event: impl Event) -> Result<Feedback, CoreError> {
-        self.trigger_shared_feedback(Arc::new(event))
-    }
-
-    /// Like [`PortRef::trigger_feedback`] but takes an already-shared event.
-    pub fn trigger_shared_feedback(&self, event: EventRef) -> Result<Feedback, CoreError> {
+    pub fn trigger_shared(&self, event: EventRef) -> Result<Feedback, CoreError> {
         self.half.trigger_in(self.half.sign.opposite(), event)
     }
 

@@ -315,19 +315,6 @@ impl WorkStealingScheduler {
         Self::with_spec(workers, SchedulerSpec::default())
     }
 
-    /// Compatibility constructor for the E3 ablation knob: batch (`true`)
-    /// or single-component (`false`) stealing, default spec otherwise.
-    pub fn with_options(workers: usize, steal_batch: bool) -> Arc<Self> {
-        Self::with_spec(
-            workers,
-            SchedulerSpec::default().steal_batch(if steal_batch {
-                SchedulerSpec::DEFAULT_STEAL_BATCH
-            } else {
-                1
-            }),
-        )
-    }
-
     /// Creates a scheduler from a full [`SchedulerSpec`]. Workers clamp to
     /// `1..=`[`affinity::MAX_WORKERS`] (the sleeper set is one `u64`
     /// bitmask); shard count resolves to at least one per worker.

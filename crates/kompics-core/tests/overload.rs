@@ -196,12 +196,12 @@ fn block_signals_pushback_until_low_watermark() {
     let (_system, sched, sink, record) = sequential_sink(spec);
     let port = sink.provided_ref::<Pipe>().unwrap();
     for i in 0..4 {
-        let fb = port.trigger_feedback(Data(i)).unwrap();
+        let fb = port.trigger(Data(i)).unwrap();
         assert!(!fb.pushback, "below capacity must not push back");
         assert_eq!(fb.delivered, 1);
     }
     // At capacity: still admitted (lossless), but the producer is told.
-    let fb = port.trigger_feedback(Data(4)).unwrap();
+    let fb = port.trigger(Data(4)).unwrap();
     assert!(fb.pushback);
     assert_eq!(fb.delivered, 1);
     // Saturation is sticky below capacity (hysteresis): the next admission
@@ -212,7 +212,7 @@ fn block_signals_pushback_until_low_watermark() {
     // …until the lane drains to the low watermark.
     sched.run_until_quiescent();
     assert_eq!(data_values(&record).len(), 5);
-    let fb = port.trigger_feedback(Data(5)).unwrap();
+    let fb = port.trigger(Data(5)).unwrap();
     assert!(!fb.pushback, "drained lane must clear the pushback window");
     sched.run_until_quiescent();
 }
@@ -273,9 +273,9 @@ fn feedback_reports_drops_to_the_producer() {
     let spec = MailboxSpec::bounded_data(2, OverloadPolicy::DropNewest);
     let (_system, sched, sink, _record) = sequential_sink(spec);
     let port = sink.provided_ref::<Pipe>().unwrap();
-    assert_eq!(port.trigger_feedback(Data(0)).unwrap().delivered, 1);
-    assert_eq!(port.trigger_feedback(Data(1)).unwrap().delivered, 1);
-    let fb = port.trigger_feedback(Data(2)).unwrap();
+    assert_eq!(port.trigger(Data(0)).unwrap().delivered, 1);
+    assert_eq!(port.trigger(Data(1)).unwrap().delivered, 1);
+    let fb = port.trigger(Data(2)).unwrap();
     assert_eq!(fb.delivered, 0);
     assert_eq!(fb.dropped, 1);
     let _ = sink;
@@ -384,7 +384,7 @@ fn threaded_block_is_lossless_under_flood() {
     let port = sink.provided_ref::<Pipe>().unwrap();
     let mut pushbacks = 0u64;
     for i in 0..TOTAL {
-        let fb = port.trigger_feedback(Data(i)).unwrap();
+        let fb = port.trigger(Data(i)).unwrap();
         assert_eq!(fb.delivered, 1, "Block never sheds");
         if fb.pushback {
             pushbacks += 1;

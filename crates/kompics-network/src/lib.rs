@@ -27,6 +27,7 @@
 
 pub mod address;
 pub mod error;
+mod frame;
 pub mod local;
 pub mod net;
 pub mod registry;

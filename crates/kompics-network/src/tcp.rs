@@ -16,15 +16,14 @@
 //!   frame buffer (no intermediate `Vec`s, length prefix written in place);
 //! * **batched vectored writes** — the writer thread drains its outbound
 //!   queue into multi-frame `write_vectored` flushes (bounded by
-//!   [`TcpConfig::max_batch_frames`] / [`TcpConfig::max_batch_bytes`]), so
-//!   small events share syscalls;
+//!   [`MAX_BATCH_FRAMES`] / [`MAX_BATCH_BYTES`]), so small events share
+//!   syscalls;
 //! * **zero-copy decode** — the reader accumulates into a `BytesMut`,
 //!   freezes complete frames off it without copying bodies, and decodes
 //!   through [`MessageRegistry::decode_shared`] so `bytes::Bytes` fields of
 //!   handler-visible events reference the receive buffer directly;
-//! * optional payload compression above a size threshold (the Zlib
-//!   substitute);
-//! * length-prefixed framing: `[u32 len][u8 flags][varint tag][body]`.
+//! * payload compression above a size threshold (the Zlib substitute) and
+//!   length-prefixed framing, both owned by [`crate::frame`].
 //!
 //! See DESIGN.md §16 for the buffer lifecycle and batching rules.
 
@@ -44,15 +43,9 @@ use parking_lot::Mutex;
 
 use crate::address::Address;
 use crate::error::NetworkError;
+use crate::frame;
 use crate::net::{DeadLetter, Message, Network};
 use crate::registry::MessageRegistry;
-
-const FLAG_COMPRESSED: u8 = 0b0000_0001;
-/// Marks a connection-handshake frame carrying the dialer's canonical
-/// listen address (payload: `[flags][ip;4][port u16 le]`, no tag/body).
-/// Hello frames are transport-internal: they do not count in message/byte
-/// stats and are never delivered to components.
-const FLAG_HELLO: u8 = 0b0000_0010;
 
 /// How many bytes a reader tries to pull from the socket per `read` call.
 const READ_CHUNK: usize = 64 * 1024;
@@ -61,13 +54,25 @@ const BUF_POOL_CAP: usize = 64;
 /// Encode buffers larger than this are dropped instead of pooled, so one
 /// huge frame does not pin megabytes of idle capacity.
 const BUF_POOL_MAX_CAPACITY: usize = 4 * 1024 * 1024;
+/// Most frames a writer coalesces into one vectored flush.
+const MAX_BATCH_FRAMES: usize = 64;
+/// Byte budget for one vectored flush; a batch stops growing once the
+/// already-collected frames reach it (a single oversized frame still
+/// flushes alone).
+const MAX_BATCH_BYTES: usize = 256 * 1024;
+/// Fraction of the reconnection backoff randomized away (the actual delay
+/// is 75–100% of the nominal one), de-synchronizing reconnection storms
+/// across writers.
+const CONNECT_JITTER: f64 = 0.25;
+/// How long a reader thread leaves the socket unread after a delivery
+/// reported mailbox pushback (see `handle_frame`).
+const READ_PAUSE: Duration = Duration::from_millis(1);
 
-/// Transport tuning knobs.
+/// Connection-management settings: the four values the fault-path tests
+/// vary. Everything else about the wire path is a constant next to the code
+/// that reads it (see DESIGN.md §17).
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Compress frame bodies larger than this many bytes; `None` disables
-    /// compression. Default: 512.
-    pub compress_threshold: Option<usize>,
     /// Connection attempts before a send fails. Default: 3.
     pub connect_retries: u32,
     /// Delay before the *first* reconnection attempt; subsequent attempts
@@ -78,58 +83,20 @@ pub struct TcpConfig {
     /// Upper bound on the backoff delay between connection attempts.
     /// Default: 2 s.
     pub connect_backoff_cap: Duration,
-    /// Fraction of the backoff delay randomized away (0.25 ⇒ the actual
-    /// delay is 75–100% of the nominal one), de-synchronizing reconnection
-    /// storms across writers. Default: 0.25.
-    pub connect_jitter: f64,
     /// Capacity of each per-connection outbound queue. When a slow or dead
     /// peer lets the queue fill up, further sends fail fast as
     /// [`DeadLetter`]s instead of growing the heap without bound.
     /// Default: 1024 messages.
     pub outbound_queue: usize,
-    /// How long a reader thread pauses before draining the next frame when
-    /// the destination component's mailbox reports pushback (a `Block`-lane
-    /// at capacity). While paused the socket is not read, so kernel receive
-    /// buffers fill and TCP flow control throttles the remote peer — the
-    /// end-to-end backpressure path. Reading resumes at full speed as soon
-    /// as the mailbox drains below its low watermark (pushback clears).
-    /// Default: 1 ms.
-    pub read_pause: Duration,
-    /// Largest frame payload (and decompressed body) a reader accepts, in
-    /// bytes. A length prefix above this emits a [`DeadLetter`] and drops
-    /// the connection instead of attempting a multi-GiB allocation on a
-    /// corrupt or hostile prefix. Default: 16 MiB.
-    pub max_frame: usize,
-    /// Most frames a writer coalesces into one vectored flush. `1` degrades
-    /// to one write syscall per message (the pre-batching wire path, kept
-    /// as the benchmark baseline arm). Default: 64.
-    pub max_batch_frames: usize,
-    /// Byte budget for one vectored flush; a batch stops growing once the
-    /// already-collected frames reach it (a single oversized frame still
-    /// flushes alone). Default: 256 KiB.
-    pub max_batch_bytes: usize,
-    /// Reproduces the pre-zero-copy wire path for A/B benchmarking: encode
-    /// through intermediate `Vec`s (two full body copies), one `write_all`
-    /// syscall per frame, and a read-length-then-`read_exact` reader with
-    /// owned (copying) decode. This is `net_bench`'s baseline arm — the
-    /// "before" the throughput gate compares against. Default: `false`.
-    pub legacy_wire: bool,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            compress_threshold: Some(512),
             connect_retries: 3,
             connect_retry_delay: Duration::from_millis(50),
             connect_backoff_cap: Duration::from_secs(2),
-            connect_jitter: 0.25,
             outbound_queue: 1024,
-            read_pause: Duration::from_millis(1),
-            max_frame: 16 * 1024 * 1024,
-            max_batch_frames: 64,
-            max_batch_bytes: 256 * 1024,
-            legacy_wire: false,
         }
     }
 }
@@ -398,74 +365,74 @@ impl TcpNetwork {
         let Some(header) = event_as::<Message>(event.as_ref()).copied() else {
             return;
         };
-        let encoded = if self.shared.config.legacy_wire {
-            encode_frame_legacy(&self.shared, event.as_ref())
-        } else {
-            encode_frame(&self.shared, event.as_ref())
+        // Encode once, directly into a pooled buffer; the frame is refcounted
+        // so the writer can reclaim the allocation after flushing.
+        let mut buf = self.shared.take_buf();
+        if let Err(err) = frame::encode_frame(&self.shared.registry, event.as_ref(), &mut buf) {
+            self.shared.recycle(buf);
+            self.net.trigger(DeadLetter {
+                message: header,
+                reason: err.to_string(),
+            });
+            return;
+        }
+        let frame = Bytes::from(buf);
+        let endpoint = (header.destination.ip, header.destination.port);
+        let conn = {
+            let mut table = self.shared.connections.lock();
+            table
+                .entry(endpoint)
+                .or_insert_with(|| Conn {
+                    tx: spawn_writer(
+                        Arc::clone(&self.shared),
+                        header.destination,
+                        self.net.inside_ref(),
+                        None,
+                    ),
+                    warned_full: Arc::new(AtomicBool::new(false)),
+                })
+                .clone()
         };
-        match encoded {
-            Ok(frame) => {
-                let endpoint = (header.destination.ip, header.destination.port);
-                let conn = {
-                    let mut table = self.shared.connections.lock();
-                    table
-                        .entry(endpoint)
-                        .or_insert_with(|| Conn {
-                            tx: spawn_writer(
-                                Arc::clone(&self.shared),
-                                header.destination,
-                                self.net.inside_ref(),
-                                None,
-                            ),
-                            warned_full: Arc::new(AtomicBool::new(false)),
-                        })
-                        .clone()
-                };
+        let frame_len = frame.len() as u64;
+        match conn.tx.try_send(Outgoing { header, frame }) {
+            // Count only what the writer accepted: a shed message is a
+            // drop, not a send.
+            Ok(()) => {
                 self.shared.sent.fetch_add(1, Ordering::Relaxed);
                 self.shared
                     .bytes_sent
-                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
-                match conn.tx.try_send(Outgoing { header, frame }) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(outgoing)) => {
-                        // Back-pressure: the peer is slow or unreachable and
-                        // the bounded queue is full. Fail the send fast; the
-                        // writer (and its queue) stay up. Shedding must stay
-                        // observable: count every drop, warn once per
-                        // connection.
-                        self.shared.recycle_frame(outgoing.frame);
-                        self.shared.outbound_dropped.fetch_add(1, Ordering::Relaxed);
-                        if !conn.warned_full.swap(true, Ordering::Relaxed) {
-                            eprintln!(
-                                "kompics-network: outbound queue full ({} messages) for {}; \
-                                 shedding to DeadLetters (warning once per connection, see \
-                                 kompics_tcp_outbound_dropped_total)",
-                                self.shared.config.outbound_queue, header.destination
-                            );
-                        }
-                        self.net.trigger(DeadLetter {
-                            message: header,
-                            reason: format!(
-                                "outbound queue full ({} messages) for {}",
-                                self.shared.config.outbound_queue, header.destination
-                            ),
-                        });
-                    }
-                    Err(TrySendError::Disconnected(outgoing)) => {
-                        // Writer died; drop it so the next send reconnects.
-                        self.shared.recycle_frame(outgoing.frame);
-                        self.shared.connections.lock().remove(&endpoint);
-                        self.net.trigger(DeadLetter {
-                            message: header,
-                            reason: "connection writer terminated".into(),
-                        });
-                    }
-                }
+                    .fetch_add(frame_len, Ordering::Relaxed);
             }
-            Err(err) => {
+            Err(TrySendError::Full(outgoing)) => {
+                // Back-pressure: the peer is slow or unreachable and the
+                // bounded queue is full. Fail the send fast; the writer (and
+                // its queue) stay up. Shedding must stay observable: count
+                // every drop, warn once per connection.
+                self.shared.recycle_frame(outgoing.frame);
+                self.shared.outbound_dropped.fetch_add(1, Ordering::Relaxed);
+                if !conn.warned_full.swap(true, Ordering::Relaxed) {
+                    eprintln!(
+                        "kompics-network: outbound queue full ({} messages) for {}; \
+                         shedding to DeadLetters (warning once per connection, see \
+                         kompics_tcp_outbound_dropped_total)",
+                        self.shared.config.outbound_queue, header.destination
+                    );
+                }
                 self.net.trigger(DeadLetter {
                     message: header,
-                    reason: err.to_string(),
+                    reason: format!(
+                        "outbound queue full ({} messages) for {}",
+                        self.shared.config.outbound_queue, header.destination
+                    ),
+                });
+            }
+            Err(TrySendError::Disconnected(outgoing)) => {
+                // Writer died; drop it so the next send reconnects.
+                self.shared.recycle_frame(outgoing.frame);
+                self.shared.connections.lock().remove(&endpoint);
+                self.net.trigger(DeadLetter {
+                    message: header,
+                    reason: "connection writer terminated".into(),
                 });
             }
         }
@@ -492,97 +459,6 @@ impl TcpNetwork {
     }
 }
 
-/// Encodes `event` once, directly into a pooled frame buffer:
-/// `[u32 len][u8 flags][varint tag][body]` with the length prefix written
-/// in place. The returned frame is refcounted so the writer can reclaim
-/// the allocation after flushing.
-fn encode_frame(
-    shared: &Shared,
-    event: &dyn kompics_core::event::Event,
-) -> Result<Bytes, NetworkError> {
-    let mut buf = shared.take_buf();
-    // komlint: allow(wire-path-copy) reason="5-byte framing placeholder (len + flags), not a body copy"
-    buf.extend_from_slice(&[0u8; 5]);
-    let (_tag, body_start) = match shared.registry.encode_into(event, &mut buf) {
-        Ok(v) => v,
-        Err(err) => {
-            shared.recycle(buf);
-            return Err(err);
-        }
-    };
-    if let Some(threshold) = shared.config.compress_threshold {
-        if buf.len() - body_start > threshold {
-            let compressed = kompics_codec::rle_compress(&buf[body_start..]);
-            if compressed.len() < buf.len() - body_start {
-                buf[4] |= FLAG_COMPRESSED;
-                buf.truncate(body_start);
-                // komlint: allow(wire-path-copy) reason="compression rewrites the body in place: the smaller compressed form replaces the original, it is not a frame copy"
-                buf.extend_from_slice(&compressed);
-            }
-        }
-    }
-    let len = (buf.len() - 4) as u32;
-    buf[0..4].copy_from_slice(&len.to_le_bytes());
-    Ok(Bytes::from(buf))
-}
-
-/// The pre-zero-copy encode path, preserved verbatim for the benchmark
-/// baseline arm ([`TcpConfig::legacy_wire`]): serialize to an owned body,
-/// copy it into a payload `Vec`, copy *that* into a length-prefixed frame
-/// `Vec` — three allocations and two full body copies per message.
-fn encode_frame_legacy(
-    shared: &Shared,
-    event: &dyn kompics_core::event::Event,
-) -> Result<Bytes, NetworkError> {
-    let (tag, body) = shared.registry.encode(event)?;
-    let mut flags = 0u8;
-    let body = match shared.config.compress_threshold {
-        Some(threshold) if body.len() > threshold => {
-            let compressed = kompics_codec::rle_compress(&body);
-            if compressed.len() < body.len() {
-                flags |= FLAG_COMPRESSED;
-                compressed
-            } else {
-                body
-            }
-        }
-        _ => body,
-    };
-    let mut payload = Vec::with_capacity(body.len() + 12);
-    payload.push(flags);
-    kompics_codec::varint::write_u64(&mut payload, tag);
-    // komlint: allow(wire-path-copy) reason="legacy_wire baseline arm deliberately reproduces the pre-change double-copy encode for A/B benchmarking"
-    payload.extend_from_slice(&body);
-    let mut frame = Vec::with_capacity(payload.len() + 4);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes()); // komlint: allow(wire-path-copy) reason="4-byte length prefix, not a body copy"
-                                                                    // komlint: allow(wire-path-copy) reason="legacy_wire baseline arm deliberately reproduces the pre-change double-copy encode for A/B benchmarking"
-    frame.extend_from_slice(&payload);
-    Ok(Bytes::from(frame))
-}
-
-/// Builds the transport-internal hello frame announcing `addr` as this
-/// node's canonical listen endpoint.
-fn hello_frame(addr: Address) -> Vec<u8> {
-    let mut out = Vec::with_capacity(11);
-    out.extend_from_slice(&7u32.to_le_bytes()); // komlint: allow(wire-path-copy) reason="11-byte handshake frame built once per connection, no body"
-    out.push(FLAG_HELLO);
-    out.extend_from_slice(&addr.ip);
-    out.extend_from_slice(&addr.port.to_le_bytes());
-    out
-}
-
-/// Parses a hello payload (after the flags byte): `[ip;4][port u16 le]`.
-fn parse_hello(body: &[u8]) -> Option<Address> {
-    if body.len() != 6 {
-        return None;
-    }
-    Some(Address {
-        ip: [body[0], body[1], body[2], body[3]],
-        port: u16::from_le_bytes([body[4], body[5]]),
-        id: 0,
-    })
-}
-
 fn spawn_writer(
     shared: Arc<Shared>,
     destination: Address,
@@ -600,7 +476,7 @@ fn spawn_writer(
 /// The delay before reconnection attempt `attempt` (0-based): exponential
 /// from [`TcpConfig::connect_retry_delay`], capped at
 /// [`TcpConfig::connect_backoff_cap`], shortened by up to
-/// [`TcpConfig::connect_jitter`] of itself. Jitter comes from a splitmix64
+/// [`CONNECT_JITTER`] of itself. Jitter comes from a splitmix64
 /// hash of (destination, attempt) — no RNG state, but different writers (and
 /// successive attempts) spread out instead of reconnecting in lock-step.
 fn backoff_delay(config: &TcpConfig, destination: Address, attempt: u32) -> Duration {
@@ -610,10 +486,6 @@ fn backoff_delay(config: &TcpConfig, destination: Address, attempt: u32) -> Dura
         .map_or(config.connect_backoff_cap, |d| {
             d.min(config.connect_backoff_cap)
         });
-    let jitter = config.connect_jitter.clamp(0.0, 1.0);
-    if jitter == 0.0 {
-        return nominal;
-    }
     let mut x = destination
         .routing_key()
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -623,7 +495,7 @@ fn backoff_delay(config: &TcpConfig, destination: Address, attempt: u32) -> Dura
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
     let unit = (x >> 11) as f64 / (1u64 << 53) as f64; // uniform in [0, 1)
-    nominal.mul_f64(1.0 - jitter * unit)
+    nominal.mul_f64(1.0 - CONNECT_JITTER * unit)
 }
 
 fn try_connect(shared: &Shared, destination: Address) -> Option<TcpStream> {
@@ -657,7 +529,10 @@ fn establish(
     port: &PortRef<Network>,
 ) -> Option<TcpStream> {
     let mut stream = try_connect(shared, destination)?;
-    if stream.write_all(&hello_frame(shared.self_addr)).is_err() {
+    if stream
+        .write_all(&frame::hello_frame(shared.self_addr))
+        .is_err()
+    {
         return None;
     }
     match stream.try_clone() {
@@ -699,15 +574,8 @@ fn writer_loop(
             return;
         }
         // Coalesce whatever else is already queued, up to the batch budget.
-        // (The legacy baseline arm never coalesces: one write per message.)
-        let max_frames = if shared.config.legacy_wire {
-            1
-        } else {
-            shared.config.max_batch_frames.max(1)
-        };
-        let max_bytes = shared.config.max_batch_bytes;
         let mut batch_bytes = batch[0].frame.len();
-        while batch.len() < max_frames && batch_bytes < max_bytes {
+        while batch.len() < MAX_BATCH_FRAMES && batch_bytes < MAX_BATCH_BYTES {
             match rx.try_recv() {
                 Ok(outgoing) => {
                     batch_bytes += outgoing.frame.len();
@@ -729,20 +597,11 @@ fn writer_loop(
                     break;
                 }
             }
-            let flushed = if shared.config.legacy_wire {
-                flush_frames_legacy(
-                    stream.as_mut().expect("stream set"),
-                    &batch[start..],
-                    &shared,
-                )
-            } else {
-                flush_frames(
-                    stream.as_mut().expect("stream set"),
-                    &batch[start..],
-                    &shared,
-                )
-            };
-            match flushed {
+            match flush_frames(
+                stream.as_mut().expect("stream set"),
+                &batch[start..],
+                &shared,
+            ) {
                 Ok(()) => {
                     if batch.len() - start > 1 {
                         shared
@@ -806,20 +665,6 @@ fn flush_frames(stream: &mut TcpStream, frames: &[Outgoing], shared: &Shared) ->
     Ok(())
 }
 
-/// The pre-batching flush, preserved for the benchmark baseline arm
-/// ([`TcpConfig::legacy_wire`]): one `write_all` syscall per frame.
-fn flush_frames_legacy(
-    stream: &mut TcpStream,
-    frames: &[Outgoing],
-    shared: &Shared,
-) -> Result<(), usize> {
-    for (idx, outgoing) in frames.iter().enumerate() {
-        stream.write_all(&outgoing.frame).map_err(|_| idx)?;
-        shared.flush_syscalls.fetch_add(1, Ordering::Relaxed);
-    }
-    Ok(())
-}
-
 fn accept_loop(
     listener: TcpListener,
     shared: Arc<Shared>,
@@ -879,9 +724,6 @@ fn reader_loop(
     if let Err(err) = stream.set_read_timeout(Some(Duration::from_millis(200))) {
         shared.log_sockopt_error("set_read_timeout", "peer", &err);
     }
-    if shared.config.legacy_wire {
-        return reader_loop_legacy(stream, shared, port, self_addr);
-    }
     let mut acc = BytesMut::with_capacity(2 * READ_CHUNK);
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
@@ -903,165 +745,33 @@ fn reader_loop(
         };
         acc.truncate(filled + n);
 
-        // Find how many *complete* frames the accumulator holds, bounding
-        // each length prefix before any allocation depends on it.
-        let mut consumed = 0;
-        loop {
-            let available = acc.len() - consumed;
-            if available < 4 {
-                break;
-            }
-            let len_bytes: [u8; 4] = acc[consumed..consumed + 4].try_into().expect("4 bytes");
-            let len = u32::from_le_bytes(len_bytes) as usize;
-            if len > shared.config.max_frame {
+        let consumed = match frame::complete_frames(acc.as_slice()) {
+            Ok(0) => continue,
+            Ok(consumed) => consumed,
+            Err(len) => {
                 let _ = port.trigger(DeadLetter {
                     message: Message::new(Address::sim(0), self_addr),
                     reason: format!(
                         "frame length {len} exceeds max_frame {}; dropping connection",
-                        shared.config.max_frame
+                        frame::MAX_FRAME
                     ),
                 });
                 return;
             }
-            if available - 4 < len {
-                break;
-            }
-            consumed += 4 + len;
-        }
-        if consumed == 0 {
-            continue;
-        }
+        };
 
         // Freeze the complete frames off the accumulator: the allocation
         // moves behind a refcounted `Bytes` (no body copy); only the
         // partial tail is carried into the next round.
         let frames = acc.freeze_to(consumed);
-        let mut offset = 0;
-        while offset < frames.len() {
-            let len_bytes: [u8; 4] = frames[offset..offset + 4].try_into().expect("4 bytes");
-            let len = u32::from_le_bytes(len_bytes) as usize;
-            let payload = frames.slice(offset + 4..offset + 4 + len);
-            offset += 4 + len;
+        for payload in frame::payloads(&frames) {
             handle_frame(&shared, &port, self_addr, &stream, payload);
         }
     }
 }
 
-/// The pre-zero-copy read path, preserved for the benchmark baseline arm
-/// ([`TcpConfig::legacy_wire`]): two `read_exact` calls per frame (length
-/// prefix, then payload into a resized `Vec`) and an owned, copying decode.
-/// Hello-frame routing and mailbox pushback behave as in the current path
-/// so the arms differ only in buffer handling and syscall pattern.
-fn reader_loop_legacy(
-    mut stream: TcpStream,
-    shared: Arc<Shared>,
-    port: PortRef<Network>,
-    self_addr: Address,
-) {
-    let mut len_buf = [0u8; 4];
-    let mut payload = Vec::new();
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match read_exact_retry(&mut stream, &mut len_buf, &shared) {
-            Ok(true) => {}
-            _ => return,
-        }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if len > shared.config.max_frame {
-            let _ = port.trigger(DeadLetter {
-                message: Message::new(Address::sim(0), self_addr),
-                reason: format!(
-                    "frame length {len} exceeds max_frame {}; dropping connection",
-                    shared.config.max_frame
-                ),
-            });
-            return;
-        }
-        payload.resize(len, 0);
-        match read_exact_retry(&mut stream, &mut payload, &shared) {
-            Ok(true) => {}
-            _ => return,
-        }
-        let Some(&flags) = payload.first() else {
-            let _ = port.trigger(DeadLetter {
-                message: Message::new(Address::sim(0), self_addr),
-                reason: "undecodable frame: empty payload".into(),
-            });
-            continue;
-        };
-        if flags & FLAG_HELLO != 0 {
-            if let Some(peer) = parse_hello(&payload[1..]) {
-                register_route(&shared, &port, peer, &stream);
-            }
-            continue;
-        }
-        shared.received.fetch_add(1, Ordering::Relaxed);
-        shared
-            .bytes_received
-            .fetch_add((len + 4) as u64, Ordering::Relaxed);
-        match decode_frame_legacy(&shared, &payload) {
-            Ok(event) => match port.trigger_shared_feedback(event) {
-                Ok(feedback) if feedback.pushback => {
-                    shared.read_pauses.fetch_add(1, Ordering::Relaxed);
-                    // komlint: allow(blocking-sleep) reason="read-path pause on the transport's dedicated reader thread is the backpressure mechanism itself"
-                    std::thread::sleep(shared.config.read_pause);
-                }
-                _ => {}
-            },
-            Err(err) => {
-                let _ = port.trigger(DeadLetter {
-                    message: Message::new(Address::sim(0), self_addr),
-                    reason: format!("undecodable frame: {err}"),
-                });
-            }
-        }
-    }
-}
-
-/// Blocking `read_exact` that retries through the 200 ms read timeout so the
-/// legacy reader can notice shutdown. Returns `Ok(false)` on EOF/shutdown.
-fn read_exact_retry(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shared: &Shared,
-) -> std::io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return Ok(false);
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Ok(false),
-            Ok(n) => filled += n,
-            Err(ref e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Owned, copying decode for the legacy baseline arm: `Bytes` fields of the
-/// event copy out of the receive buffer instead of borrowing it.
-fn decode_frame_legacy(shared: &Shared, payload: &[u8]) -> Result<EventRef, NetworkError> {
-    let mut input = &payload[1..];
-    let tag = kompics_codec::varint::read_u64(&mut input)?;
-    if payload[0] & FLAG_COMPRESSED != 0 {
-        let body = kompics_codec::rle_decompress_bounded(input, shared.config.max_frame)?;
-        shared.registry.decode(tag, &body)
-    } else {
-        shared.registry.decode(tag, input)
-    }
-}
-
-/// Decodes and delivers one frame payload (`[flags][tag][body]`, already a
-/// zero-copy view of the receive buffer).
+/// Decodes and delivers one frame payload (already a zero-copy view of the
+/// receive buffer).
 fn handle_frame(
     shared: &Arc<Shared>,
     port: &PortRef<Network>,
@@ -1069,31 +779,25 @@ fn handle_frame(
     stream: &TcpStream,
     payload: Bytes,
 ) {
-    let Some(&flags) = payload.first() else {
-        let _ = port.trigger(DeadLetter {
-            message: Message::new(Address::sim(0), self_addr),
-            reason: "undecodable frame: empty payload".into(),
-        });
-        return;
-    };
-    if flags & FLAG_HELLO != 0 {
-        if let Some(peer) = parse_hello(&payload[1..]) {
+    if frame::is_hello(&payload) {
+        if let Some(peer) = frame::parse_hello(&payload) {
             register_route(shared, port, peer, stream);
         }
         return;
     }
     shared.received.fetch_add(1, Ordering::Relaxed);
-    shared
-        .bytes_received
-        .fetch_add((payload.len() + 4) as u64, Ordering::Relaxed);
+    shared.bytes_received.fetch_add(
+        (payload.len() + frame::LEN_PREFIX) as u64,
+        Ordering::Relaxed,
+    );
 
     let borrowed_before = bytes::serde_support::borrowed_views();
-    match decode_payload(shared, &payload, flags) {
+    match frame::decode_payload(&shared.registry, &payload) {
         Ok(event) => {
             if bytes::serde_support::borrowed_views() > borrowed_before {
                 shared.borrowed_decodes.fetch_add(1, Ordering::Relaxed);
             }
-            match port.trigger_shared_feedback(event) {
+            match port.trigger_shared(event) {
                 Ok(feedback) if feedback.pushback => {
                     // A destination mailbox (Block lane) is saturated:
                     // stop draining the socket for a beat. The kernel
@@ -1103,7 +807,7 @@ fn handle_frame(
                     // resume at full speed.
                     shared.read_pauses.fetch_add(1, Ordering::Relaxed);
                     // komlint: allow(blocking-sleep) reason="read-path pause on the transport's dedicated reader thread is the backpressure mechanism itself"
-                    std::thread::sleep(shared.config.read_pause);
+                    std::thread::sleep(READ_PAUSE);
                 }
                 _ => {}
             }
@@ -1114,24 +818,6 @@ fn handle_frame(
                 reason: format!("undecodable frame: {err}"),
             });
         }
-    }
-}
-
-/// Decodes a data frame payload into an event, borrowing `Bytes` fields
-/// from the receive buffer (or from the decompression buffer when the body
-/// was compressed).
-fn decode_payload(shared: &Shared, payload: &Bytes, flags: u8) -> Result<EventRef, NetworkError> {
-    let mut rest = &payload[1..];
-    let tag = kompics_codec::varint::read_u64(&mut rest)?;
-    let body_offset = payload.len() - rest.len();
-    let body = payload.slice(body_offset..);
-    if flags & FLAG_COMPRESSED != 0 {
-        let decompressed = kompics_codec::rle_decompress_bounded(&body, shared.config.max_frame)?;
-        shared
-            .registry
-            .decode_shared(tag, &Bytes::from(decompressed))
-    } else {
-        shared.registry.decode_shared(tag, &body)
     }
 }
 
@@ -1158,54 +844,57 @@ impl Drop for TcpNetwork {
 mod tests {
     use super::*;
 
-    fn config(base_ms: u64, cap_ms: u64, jitter: f64) -> TcpConfig {
+    fn config(base_ms: u64, cap_ms: u64) -> TcpConfig {
         TcpConfig {
             connect_retry_delay: Duration::from_millis(base_ms),
             connect_backoff_cap: Duration::from_millis(cap_ms),
-            connect_jitter: jitter,
             ..TcpConfig::default()
         }
     }
 
+    /// `delay` lies in the jitter window below `nominal_ms`: at most
+    /// [`CONNECT_JITTER`] shaved off, never lengthened.
+    fn assert_in_window(delay: Duration, nominal_ms: u64, what: &str) {
+        let nominal = Duration::from_millis(nominal_ms);
+        assert!(delay <= nominal, "{what}: jitter only shortens: {delay:?}");
+        assert!(
+            delay >= nominal.mul_f64(1.0 - CONNECT_JITTER),
+            "{what}: at most 25% shaved: {delay:?} vs {nominal:?}"
+        );
+    }
+
     #[test]
-    fn backoff_doubles_and_caps_without_jitter() {
-        let cfg = config(50, 2_000, 0.0);
+    fn backoff_doubles_and_caps() {
+        let cfg = config(50, 2_000);
         let dest = Address::local(9000, 1);
         let delays: Vec<Duration> = (0..8).map(|a| backoff_delay(&cfg, dest, a)).collect();
-        assert_eq!(delays[0], Duration::from_millis(50));
-        assert_eq!(delays[1], Duration::from_millis(100));
-        assert_eq!(delays[2], Duration::from_millis(200));
-        assert_eq!(delays[5], Duration::from_millis(1_600));
-        assert_eq!(delays[6], Duration::from_millis(2_000), "capped");
-        assert_eq!(delays[7], Duration::from_millis(2_000), "stays capped");
+        assert_in_window(delays[0], 50, "attempt 0");
+        assert_in_window(delays[1], 100, "attempt 1");
+        assert_in_window(delays[2], 200, "attempt 2");
+        assert_in_window(delays[5], 1_600, "attempt 5");
+        assert_in_window(delays[6], 2_000, "capped");
+        assert_in_window(delays[7], 2_000, "stays capped");
     }
 
     #[test]
     fn backoff_survives_extreme_attempts_and_bases() {
         // Shift/multiply overflow on huge attempt counts must saturate at
         // the cap, not wrap around to tiny delays.
-        let cfg = config(500, 3_000, 0.0);
-        assert_eq!(
-            backoff_delay(&cfg, Address::local(1, 1), 31),
-            Duration::from_secs(3)
-        );
-        assert_eq!(
+        let cfg = config(500, 3_000);
+        assert_in_window(backoff_delay(&cfg, Address::local(1, 1), 31), 3_000, "31");
+        assert_in_window(
             backoff_delay(&cfg, Address::local(1, 1), u32::MAX),
-            Duration::from_secs(3)
+            3_000,
+            "u32::MAX",
         );
     }
 
     #[test]
     fn backoff_jitter_is_bounded_and_deterministic() {
-        let cfg = config(1_000, 10_000, 0.25);
+        let cfg = config(1_000, 10_000);
         for attempt in 0..6 {
-            let nominal = backoff_delay(&config(1_000, 10_000, 0.0), Address::local(1, 7), attempt);
             let jittered = backoff_delay(&cfg, Address::local(1, 7), attempt);
-            assert!(jittered <= nominal, "jitter only shortens");
-            assert!(
-                jittered >= nominal.mul_f64(0.75),
-                "at most 25% shaved: {jittered:?} vs {nominal:?}"
-            );
+            assert_in_window(jittered, (1_000u64 << attempt).min(10_000), "jittered");
             // Same (destination, attempt) ⇒ same delay; different
             // destinations de-synchronize.
             assert_eq!(jittered, backoff_delay(&cfg, Address::local(1, 7), attempt));
@@ -1213,17 +902,5 @@ mod tests {
         let a = backoff_delay(&cfg, Address::local(1, 7), 3);
         let b = backoff_delay(&cfg, Address::local(2, 8), 3);
         assert_ne!(a, b, "different endpoints draw different jitter");
-    }
-
-    #[test]
-    fn hello_frame_roundtrips() {
-        let addr = Address::local(45678, 0);
-        let frame = hello_frame(addr);
-        let len = u32::from_le_bytes(frame[0..4].try_into().unwrap()) as usize;
-        assert_eq!(len, frame.len() - 4);
-        assert_eq!(frame[4] & FLAG_HELLO, FLAG_HELLO);
-        let peer = parse_hello(&frame[5..]).unwrap();
-        assert!(peer.same_endpoint(&addr));
-        assert_eq!(parse_hello(&frame[5..8]), None, "truncated hello rejected");
     }
 }

@@ -22,18 +22,12 @@ use kompics_core::prelude::*;
 
 use crate::address::Address;
 use crate::error::NetworkError;
+use crate::frame;
 use crate::net::{DeadLetter, Message, Network};
 use crate::registry::MessageRegistry;
 
 /// Largest payload we attempt to send in one datagram.
 const MAX_DATAGRAM: usize = 60 * 1024;
-
-/// Largest decompressed body accepted from one datagram. A datagram itself
-/// is bounded by the socket buffer, but an RLE body can expand ~64×; bound
-/// the expansion before allocating (mirrors `TcpConfig::max_frame`).
-const MAX_DECOMPRESSED: usize = 16 * 1024 * 1024;
-
-const FLAG_COMPRESSED: u8 = 0b0000_0001;
 
 struct Shared {
     registry: Arc<MessageRegistry>,
@@ -50,7 +44,6 @@ pub struct UdpNetwork {
     net: ProvidedPort<Network>,
     self_addr: Address,
     shared: Arc<Shared>,
-    compress_threshold: Option<usize>,
     /// Reusable encode buffer: `send` runs on the component's single
     /// handler thread, so one buffer serves every outgoing datagram with
     /// no per-send allocation (the TCP path's pool, degenerated to one).
@@ -80,13 +73,7 @@ impl UdpNetwork {
 
     /// Creates the transport around a pre-bound socket (see
     /// [`UdpNetwork::bind`]); call inside a `create` closure.
-    /// `compress_threshold` mirrors [`TcpConfig`](crate::tcp::TcpConfig).
-    pub fn new(
-        self_addr: Address,
-        socket: UdpSocket,
-        registry: Arc<MessageRegistry>,
-        compress_threshold: Option<usize>,
-    ) -> Self {
+    pub fn new(self_addr: Address, socket: UdpSocket, registry: Arc<MessageRegistry>) -> Self {
         let net: ProvidedPort<Network> = ProvidedPort::new();
         let shared = Arc::new(Shared {
             registry,
@@ -109,7 +96,6 @@ impl UdpNetwork {
             net,
             self_addr,
             shared,
-            compress_threshold,
             encode_buf: Vec::new(),
             receiver: None,
         }
@@ -132,7 +118,12 @@ impl UdpNetwork {
         let Some(header) = event_as::<Message>(event.as_ref()).copied() else {
             return;
         };
-        if let Err(err) = self.encode(event.as_ref()) {
+        // One payload per datagram: the datagram boundary is the frame
+        // boundary, so there is no length prefix.
+        self.encode_buf.clear();
+        if let Err(err) =
+            frame::encode_payload(&self.shared.registry, event.as_ref(), &mut self.encode_buf)
+        {
             self.net.trigger(DeadLetter {
                 message: header,
                 reason: err.to_string(),
@@ -164,28 +155,6 @@ impl UdpNetwork {
                 });
             }
         }
-    }
-
-    /// Encodes `event` once, directly into the reusable buffer:
-    /// `[flags][varint tag][body]` (no length prefix — the datagram
-    /// boundary is the frame boundary).
-    fn encode(&mut self, event: &dyn kompics_core::event::Event) -> Result<(), NetworkError> {
-        let buf = &mut self.encode_buf;
-        buf.clear();
-        buf.push(0u8); // flags
-        let (_tag, body_start) = self.shared.registry.encode_into(event, buf)?;
-        if let Some(threshold) = self.compress_threshold {
-            if buf.len() - body_start > threshold {
-                let compressed = kompics_codec::rle_compress(&buf[body_start..]);
-                if compressed.len() < buf.len() - body_start {
-                    buf[0] |= FLAG_COMPRESSED;
-                    buf.truncate(body_start);
-                    // komlint: allow(wire-path-copy) reason="compression rewrites the body in place: the smaller compressed form replaces the original, it is not a frame copy"
-                    buf.extend_from_slice(&compressed);
-                }
-            }
-        }
-        Ok(())
     }
 
     fn ensure_receiver(&mut self) {
@@ -227,32 +196,11 @@ fn receive_loop(
             Err(_) => return,
         };
         shared.received.fetch_add(1, Ordering::Relaxed);
-        let frame = &buf[..n];
-        let Some((&flags, mut input)) = frame.split_first() else {
-            continue;
-        };
-        let Ok(tag) = kompics_codec::varint::read_u64(&mut input) else {
-            continue;
-        };
-        // Copy the body once into a refcounted buffer and decode through
-        // `decode_shared`, so `bytes::Bytes` fields of the event borrow
-        // zero-copy views instead of copying again. Compressed bodies are
-        // size-bounded *before* allocation (an RLE bomb in a single
-        // datagram could otherwise expand ~64×).
-        let decoded = if flags & FLAG_COMPRESSED != 0 {
-            kompics_codec::rle_decompress_bounded(input, MAX_DECOMPRESSED)
-                .map_err(NetworkError::from)
-                .and_then(|body| {
-                    shared
-                        .registry
-                        .decode_shared(tag, &bytes::Bytes::from(body))
-                })
-        } else {
-            shared
-                .registry
-                .decode_shared(tag, &bytes::Bytes::copy_from_slice(input))
-        };
-        match decoded {
+        // Copy the datagram once into a refcounted buffer so `bytes::Bytes`
+        // fields of the event borrow zero-copy views of it instead of
+        // copying again.
+        let datagram = bytes::Bytes::copy_from_slice(&buf[..n]);
+        match frame::decode_payload(&shared.registry, &datagram) {
             Ok(event) => {
                 let _ = port.trigger_shared(event);
             }
@@ -371,7 +319,7 @@ mod tests {
     fn make(system: &KompicsSystem, id: u64) -> Fixture {
         let (addr, socket) = UdpNetwork::bind(Address::local(0, id)).unwrap();
         let reg = registry();
-        let udp = system.create(move || UdpNetwork::new(addr, socket, reg, Some(512)));
+        let udp = system.create(move || UdpNetwork::new(addr, socket, reg));
         let count = Arc::new(AtomicUsize::new(0));
         let pings = Arc::new(Mutex::new(Vec::new()));
         let dead = Arc::new(Mutex::new(Vec::new()));

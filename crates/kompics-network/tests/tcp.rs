@@ -261,7 +261,6 @@ fn full_outbound_queue_dead_letters_instead_of_growing_unbounded() {
         connect_retry_delay: Duration::from_millis(200),
         connect_backoff_cap: Duration::from_secs(1),
         outbound_queue: 4,
-        ..TcpConfig::default()
     };
     let a = make_node(&system, 1, config);
     let bogus = Address::local(1, 99); // nothing listens on loopback:1
@@ -293,6 +292,18 @@ fn full_outbound_queue_dead_letters_instead_of_growing_unbounded() {
         N - 5
     );
     drop(dead);
+    // A shed message is a drop, not a send: once the transport has handled
+    // all N, each is counted exactly once.
+    let counted = || {
+        let (sent, _) = a.tcp.on_definition(|t| t.message_stats()).unwrap();
+        let (outbound_dropped, _) = a.tcp.on_definition(|t| t.overload_stats()).unwrap();
+        sent + outbound_dropped
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while counted() < N as u64 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(counted(), N as u64, "sent + outbound_dropped");
     system.shutdown();
 }
 

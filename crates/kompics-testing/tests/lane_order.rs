@@ -144,7 +144,7 @@ fn fire(sink: &Component<Sink>, pipe: &PortRef<Pipe>, step: Step) {
             .trigger(Probe { base: Init, tag })
             .unwrap(),
         Step::Data(v) => pipe.trigger(Data(v)).unwrap(),
-    }
+    };
 }
 
 /// Sequential backend: trigger the whole schedule while the scheduler is

@@ -204,7 +204,7 @@ fn timer_loop(shared: Arc<Shared>, port: PortRef<Timer>) {
             if cancelled {
                 continue;
             }
-            match port.trigger_shared_feedback(entry.event.clone()) {
+            match port.trigger_shared(entry.event.clone()) {
                 Ok(feedback) if feedback.pushback => {
                     // A destination's Block lane is saturated: pause the
                     // producer so a timeout flood respects mailbox

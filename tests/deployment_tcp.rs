@@ -199,7 +199,7 @@ fn cats_over_real_tcp_serves_linearizable_ops() {
                     key: RingKey(key),
                 })
                 .unwrap(),
-        }
+        };
         rx.recv_timeout(Duration::from_secs(10))
             .expect("op response")
     };
