@@ -491,6 +491,33 @@ fn bench_codec(c: &mut Criterion) {
     group.bench_function("decode_1k_write", |b| {
         b.iter(|| kompics::codec::from_bytes::<WriteQueryMsg>(&bytes).unwrap())
     });
+    // A 16 KiB value no compressor can shrink (xorshift64 bytes): the
+    // per-byte cost of the codec, and of deciding not to compress.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let random: Vec<u8> = std::iter::repeat_with(|| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state.to_le_bytes()
+    })
+    .flatten()
+    .take(16 * 1024)
+    .collect();
+    let large = WriteQueryMsg {
+        value: Some(random),
+        ..msg.clone()
+    };
+    let large_bytes = kompics::codec::to_bytes(&large).unwrap();
+    group.throughput(Throughput::Bytes(large_bytes.len() as u64));
+    group.bench_function("encode_16k_value", |b| {
+        b.iter(|| kompics::codec::to_bytes(&large).unwrap())
+    });
+    group.bench_function("decode_16k_value", |b| {
+        b.iter(|| kompics::codec::from_bytes::<WriteQueryMsg>(&large_bytes).unwrap())
+    });
+    group.bench_function("rle_incompressible_16k", |b| {
+        b.iter(|| kompics::codec::rle_compressed_len(&large_bytes))
+    });
     let compressible = vec![0x77u8; 64 * 1024];
     group.throughput(Throughput::Bytes(compressible.len() as u64));
     group.bench_function("rle_compress_64k", |b| {

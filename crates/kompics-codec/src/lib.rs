@@ -13,9 +13,10 @@
 //! * unsigned integers: LEB128 varint;
 //! * signed integers: zigzag + varint;
 //! * floats: little-endian IEEE-754;
-//! * strings/bytes: varint length prefix + raw bytes;
+//! * strings and byte strings (`Vec<u8>`, `[u8]`, `bytes::Bytes` — one wire
+//!   type): varint length prefix + raw bytes;
 //! * options: presence byte;
-//! * sequences/maps: varint length prefix + elements;
+//! * other sequences/maps: varint length prefix + elements;
 //! * enums: varint variant index + payload.
 //!
 //! Being non-self-describing, decoding requires the same type the value was
@@ -42,7 +43,7 @@ pub mod error;
 pub mod ser;
 pub mod varint;
 
-pub use compress::{rle_compress, rle_decompress, rle_decompress_bounded};
+pub use compress::{rle_compress, rle_compressed_len, rle_decompress, rle_decompress_bounded};
 pub use de::{from_bytes, from_bytes_shared, Deserializer};
 pub use error::CodecError;
 pub use ser::{to_bytes, to_writer, Serializer};

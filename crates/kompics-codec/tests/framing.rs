@@ -1,6 +1,9 @@
 //! Wire-path framing properties: varint length boundaries, frame round-trips
-//! across boundary payload sizes (with and without compression), and
-//! borrowed-vs-owned decode equivalence for `bytes::Bytes` fields.
+//! across boundary payload sizes (with and without compression),
+//! borrowed-vs-owned decode equivalence for `bytes::Bytes` fields, and byte
+//! strings being one wire type whichever Rust type holds them.
+
+use std::collections::{BTreeSet, HashSet, VecDeque};
 
 use bytes::Bytes;
 use kompics_codec::{
@@ -68,7 +71,95 @@ fn boundary_size() -> impl Strategy<Value = usize> {
     ]
 }
 
+/// `len` bytes that take every value 0x00–0xFF (for `len >= 256`), in an
+/// order that depends on `seed`.
+fn spanning_bytes(seed: u8, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i as u8).wrapping_mul(167).wrapping_add(seed))
+        .collect()
+}
+
+/// What a byte string is on the wire: varint length, then the bytes.
+fn length_prefixed(bytes: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    varint::write_u64(&mut out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+    out
+}
+
+#[test]
+fn only_u8_slices_are_byte_strings() {
+    // Other element types are sequences of varint elements, as before.
+    assert_eq!(
+        to_bytes(&vec![1u16, 0x80, 300]).unwrap(),
+        [3, 1, 0x80, 0x01, 0xAC, 0x02]
+    );
+    // A fixed-size byte array is a tuple: no length, one varint per byte
+    // (`Address.ip` and the hello frame rely on it).
+    assert_eq!(to_bytes(&[0x7Fu8, 0x80]).unwrap(), [0x7F, 0x80, 0x01]);
+    // A byte string nested in a sequence or an option is still a byte
+    // string; the outer container is unchanged.
+    assert_eq!(
+        to_bytes(&vec![vec![0xFFu8, 0x00], vec![]]).unwrap(),
+        [2, 2, 0xFF, 0x00, 0]
+    );
+    assert_eq!(to_bytes(&Some(vec![0x80u8])).unwrap(), [1, 1, 0x80]);
+    // Collections that are not one slice write element by element, and
+    // read the same way.
+    let deque: VecDeque<u8> = [0x80, 0x01].into();
+    assert_eq!(to_bytes(&deque).unwrap(), [2, 0x80, 0x01, 0x01]);
+    let set: BTreeSet<u8> = [0xFF].into();
+    assert_eq!(to_bytes(&set).unwrap(), [1, 0xFF, 0x01]);
+}
+
 proptest! {
+    /// `Vec<u8>`, `&[u8]` and `Bytes` holding the same bytes are the same
+    /// bytes on the wire, and each owned type decodes what the others wrote.
+    #[test]
+    fn byte_strings_are_one_wire_type(seed in any::<u8>(), size in boundary_size()) {
+        let data = spanning_bytes(seed, size);
+        let expected = length_prefixed(&data);
+        let from_vec = to_bytes(&data).unwrap();
+        let from_slice = to_bytes(data.as_slice()).unwrap();
+        let from_shared = to_bytes(&Bytes::from(data.clone())).unwrap();
+        prop_assert_eq!(&from_vec, &expected);
+        prop_assert_eq!(&from_slice, &expected);
+        prop_assert_eq!(&from_shared, &expected);
+
+        let wire = Bytes::from(expected);
+        prop_assert_eq!(&from_bytes::<Vec<u8>>(&wire).unwrap(), &data);
+        prop_assert_eq!(&from_bytes_shared::<Vec<u8>>(&wire).unwrap(), &data);
+        prop_assert_eq!(&from_bytes::<Bytes>(&wire).unwrap(), &data);
+        prop_assert_eq!(&from_bytes_shared::<Bytes>(&wire).unwrap(), &data);
+    }
+
+    /// The byte-string rule changes `u8` slices and nothing else: every
+    /// other container of bytes or of wider integers still round-trips.
+    #[test]
+    fn containers_around_bytes_roundtrip(
+        seed in any::<u8>(),
+        size in boundary_size(),
+        wide in proptest::collection::vec(any::<u16>(), 0..300),
+    ) {
+        let data = spanning_bytes(seed, size);
+        prop_assert_eq!(&from_bytes::<Vec<u16>>(&to_bytes(&wide).unwrap()).unwrap(), &wide);
+
+        let nested = vec![data.clone(), Vec::new(), spanning_bytes(seed, 3)];
+        prop_assert_eq!(&from_bytes::<Vec<Vec<u8>>>(&to_bytes(&nested).unwrap()).unwrap(), &nested);
+
+        for option in [Some(data.clone()), None] {
+            let back: Option<Vec<u8>> = from_bytes(&to_bytes(&option).unwrap()).unwrap();
+            prop_assert_eq!(back, option);
+        }
+
+        let deque: VecDeque<u8> = data.iter().copied().collect();
+        prop_assert_eq!(&from_bytes::<VecDeque<u8>>(&to_bytes(&deque).unwrap()).unwrap(), &deque);
+        let ordered: BTreeSet<u8> = data.iter().copied().collect();
+        prop_assert_eq!(&from_bytes::<BTreeSet<u8>>(&to_bytes(&ordered).unwrap()).unwrap(), &ordered);
+        let hashed: HashSet<u8> = data.iter().copied().collect();
+        prop_assert_eq!(&from_bytes::<HashSet<u8>>(&to_bytes(&hashed).unwrap()).unwrap(), &hashed);
+    }
+
     /// A frame whose payload length sits on (or near) a varint width
     /// boundary must round-trip exactly.
     #[test]

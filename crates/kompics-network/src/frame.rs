@@ -6,12 +6,17 @@
 //! hello      := [u32 le 7][FLAG_HELLO][ip;4][port u16 le]
 //! ```
 //!
-//! `body` is the `kompics-codec` encoding of the event, RLE-compressed
-//! (`FLAG_COMPRESSED`) when it is longer than [`COMPRESS_ABOVE`] and the
-//! compressed form is shorter. Both real transports encode and decode
-//! through here, so the bytes on the wire are one decision. Encoding appends
-//! into a caller-owned buffer (pooled by TCP, reused by UDP); decoding takes
-//! a refcounted [`Bytes`] so `Bytes` fields of the event borrow it.
+//! `body` is the `kompics-codec` encoding of the event (a byte-string
+//! field — `Vec<u8>`, `[u8]`, `Bytes` alike — is its varint length and then
+//! the bytes themselves), RLE-compressed (`FLAG_COMPRESSED`) when it is
+//! longer than [`COMPRESS_ABOVE`] and the compressed form is strictly
+//! shorter. That is decided from the exact compressed length, computed
+//! without compressing (`kompics_codec::rle_compressed_len`), so a body
+//! that does not shrink costs one scan and goes out verbatim. Both real
+//! transports encode and decode through here, so the bytes on the wire are
+//! one decision. Encoding appends into a caller-owned buffer (pooled by
+//! TCP, reused by UDP); decoding takes a refcounted [`Bytes`] so `Bytes`
+//! fields of the event borrow it.
 
 use bytes::Bytes;
 use kompics_core::event::{Event, EventRef};
@@ -49,14 +54,13 @@ pub(crate) fn encode_payload(
     let flags_at = buf.len();
     buf.push(0);
     let (_tag, body_start) = registry.encode_into(event, buf)?;
-    if buf.len() - body_start > COMPRESS_ABOVE {
-        let compressed = kompics_codec::rle_compress(&buf[body_start..]);
-        if compressed.len() < buf.len() - body_start {
-            buf[flags_at] |= FLAG_COMPRESSED;
-            buf.truncate(body_start);
-            // komlint: allow(wire-path-copy) reason="compression rewrites the body in place: the smaller compressed form replaces the original, it is not a frame copy"
-            buf.extend_from_slice(&compressed);
-        }
+    let body = &buf[body_start..];
+    if body.len() > COMPRESS_ABOVE && kompics_codec::rle_compressed_len(body) < body.len() {
+        let compressed = kompics_codec::rle_compress(body);
+        buf[flags_at] |= FLAG_COMPRESSED;
+        buf.truncate(body_start);
+        // komlint: allow(wire-path-copy) reason="compression rewrites the body in place: the smaller compressed form replaces the original, it is not a frame copy"
+        buf.extend_from_slice(&compressed);
     }
     Ok(())
 }

@@ -30,6 +30,7 @@ pub mod error;
 mod frame;
 pub mod local;
 pub mod net;
+mod recv_buf;
 pub mod registry;
 pub mod tcp;
 pub mod telemetry;

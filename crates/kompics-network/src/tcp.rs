@@ -18,10 +18,11 @@
 //!   queue into multi-frame `write_vectored` flushes (bounded by
 //!   [`MAX_BATCH_FRAMES`] / [`MAX_BATCH_BYTES`]), so small events share
 //!   syscalls;
-//! * **zero-copy decode** — the reader accumulates into a `BytesMut`,
-//!   freezes complete frames off it without copying bodies, and decodes
-//!   through [`MessageRegistry::decode_shared`] so `bytes::Bytes` fields of
-//!   handler-visible events reference the receive buffer directly;
+//! * **zero-copy decode** — the reader hands out complete frames as views
+//!   of its receive buffer (`crate::recv_buf`) and decodes through
+//!   [`MessageRegistry::decode_shared`], so `bytes::Bytes` fields of
+//!   handler-visible events reference the receive buffer directly; the
+//!   buffer is read into again as soon as no event borrows it;
 //! * payload compression above a size threshold (the Zlib substitute) and
 //!   length-prefixed framing, both owned by [`crate::frame`].
 //!
@@ -34,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use kompics_core::event::{event_as, EventRef};
 use kompics_core::port::PortRef;
@@ -45,10 +46,9 @@ use crate::address::Address;
 use crate::error::NetworkError;
 use crate::frame;
 use crate::net::{DeadLetter, Message, Network};
+use crate::recv_buf::RecvBuf;
 use crate::registry::MessageRegistry;
 
-/// How many bytes a reader tries to pull from the socket per `read` call.
-const READ_CHUNK: usize = 64 * 1024;
 /// Encode buffers retained for reuse per transport instance.
 const BUF_POOL_CAP: usize = 64;
 /// Encode buffers larger than this are dropped instead of pooled, so one
@@ -153,6 +153,27 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(registry: Arc<MessageRegistry>, config: TcpConfig, self_addr: Address) -> Self {
+        Shared {
+            registry,
+            config,
+            self_addr,
+            connections: Mutex::new(HashMap::new()),
+            buf_pool: Mutex::new(Vec::new()),
+            shutdown: AtomicBool::new(false),
+            sent: AtomicU64::new(0),
+            received: AtomicU64::new(0),
+            bytes_sent: AtomicU64::new(0),
+            bytes_received: AtomicU64::new(0),
+            outbound_dropped: AtomicU64::new(0),
+            read_pauses: AtomicU64::new(0),
+            batched_frames: AtomicU64::new(0),
+            flush_syscalls: AtomicU64::new(0),
+            borrowed_decodes: AtomicU64::new(0),
+            sockopt_errors: AtomicU64::new(0),
+        }
+    }
+
     fn take_buf(&self) -> Vec<u8> {
         self.buf_pool.lock().pop().unwrap_or_default()
     }
@@ -161,6 +182,7 @@ impl Shared {
         if buf.capacity() > BUF_POOL_MAX_CAPACITY {
             return;
         }
+        // Frames come back from `try_reclaim` with their bytes still in.
         buf.clear();
         let mut pool = self.buf_pool.lock();
         if pool.len() < BUF_POOL_CAP {
@@ -224,24 +246,7 @@ impl TcpNetwork {
         config: TcpConfig,
     ) -> Self {
         let net: ProvidedPort<Network> = ProvidedPort::new();
-        let shared = Arc::new(Shared {
-            registry,
-            config,
-            self_addr,
-            connections: Mutex::new(HashMap::new()),
-            buf_pool: Mutex::new(Vec::new()),
-            shutdown: AtomicBool::new(false),
-            sent: AtomicU64::new(0),
-            received: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            bytes_received: AtomicU64::new(0),
-            outbound_dropped: AtomicU64::new(0),
-            read_pauses: AtomicU64::new(0),
-            batched_frames: AtomicU64::new(0),
-            flush_syscalls: AtomicU64::new(0),
-            borrowed_decodes: AtomicU64::new(0),
-            sockopt_errors: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::new(registry, config, self_addr));
 
         net.subscribe_shared::<TcpNetwork, Message, _>(
             |this: &mut TcpNetwork, event: &EventRef| {
@@ -498,6 +503,28 @@ fn backoff_delay(config: &TcpConfig, destination: Address, attempt: u32) -> Dura
     nominal.mul_f64(1.0 - CONNECT_JITTER * unit)
 }
 
+/// Sets the socket options of an established connection. Every stream the
+/// transport uses goes through here once, dialed or accepted (a full-duplex
+/// connection's clones share the socket, hence its options), so both ends
+/// of a connection behave alike:
+///
+/// * `TCP_NODELAY` — frames are already batched by the writer; left to
+///   Nagle, a reply on an accepted socket waits out the peer's delayed ACK
+///   (~40 ms);
+/// * a 200 ms read timeout, so a reader blocked on an idle peer notices
+///   shutdown.
+///
+/// Failures are counted and logged, not fatal: the connection still works,
+/// only slower.
+fn configure_stream(shared: &Shared, stream: &TcpStream, peer: &dyn std::fmt::Display) {
+    if let Err(err) = stream.set_nodelay(true) {
+        shared.log_sockopt_error("set_nodelay", &peer.to_string(), &err);
+    }
+    if let Err(err) = stream.set_read_timeout(Some(Duration::from_millis(200))) {
+        shared.log_sockopt_error("set_read_timeout", &peer.to_string(), &err);
+    }
+}
+
 fn try_connect(shared: &Shared, destination: Address) -> Option<TcpStream> {
     for attempt in 0..shared.config.connect_retries.max(1) {
         if shared.shutdown.load(Ordering::Acquire) {
@@ -505,9 +532,7 @@ fn try_connect(shared: &Shared, destination: Address) -> Option<TcpStream> {
         }
         match TcpStream::connect(destination.socket_addr()) {
             Ok(stream) => {
-                if let Err(err) = stream.set_nodelay(true) {
-                    shared.log_sockopt_error("set_nodelay", &destination.to_string(), &err);
-                }
+                configure_stream(shared, &stream, &destination);
                 return Some(stream);
             }
             Err(_) if attempt + 1 < shared.config.connect_retries.max(1) => {
@@ -673,7 +698,8 @@ fn accept_loop(
 ) {
     while !shared.shutdown.load(Ordering::Acquire) {
         match listener.accept() {
-            Ok((stream, _peer)) => {
+            Ok((stream, peer)) => {
+                configure_stream(&shared, &stream, &peer);
                 let shared = Arc::clone(&shared);
                 let port = port.clone();
                 std::thread::Builder::new()
@@ -721,51 +747,34 @@ fn reader_loop(
     port: PortRef<Network>,
     self_addr: Address,
 ) {
-    if let Err(err) = stream.set_read_timeout(Some(Duration::from_millis(200))) {
-        shared.log_sockopt_error("set_read_timeout", "peer", &err);
-    }
-    let mut acc = BytesMut::with_capacity(2 * READ_CHUNK);
+    let mut buf = RecvBuf::new();
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let filled = acc.len();
-        acc.resize(filled + READ_CHUNK, 0);
-        let n = match stream.read(&mut acc.as_mut_slice()[filled..]) {
+        match stream.read(buf.spare()) {
             Ok(0) => return,
-            Ok(n) => n,
+            Ok(n) => buf.advance(n),
             Err(ref e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                acc.truncate(filled);
                 continue;
             }
             Err(_) => return,
-        };
-        acc.truncate(filled + n);
-
-        let consumed = match frame::complete_frames(acc.as_slice()) {
-            Ok(0) => continue,
-            Ok(consumed) => consumed,
-            Err(len) => {
-                let _ = port.trigger(DeadLetter {
-                    message: Message::new(Address::sim(0), self_addr),
-                    reason: format!(
-                        "frame length {len} exceeds max_frame {}; dropping connection",
-                        frame::MAX_FRAME
-                    ),
-                });
-                return;
-            }
-        };
-
-        // Freeze the complete frames off the accumulator: the allocation
-        // moves behind a refcounted `Bytes` (no body copy); only the
-        // partial tail is carried into the next round.
-        let frames = acc.freeze_to(consumed);
-        for payload in frame::payloads(&frames) {
+        }
+        let delivered = buf.deliver_frames(|payload| {
             handle_frame(&shared, &port, self_addr, &stream, payload);
+        });
+        if let Err(len) = delivered {
+            let _ = port.trigger(DeadLetter {
+                message: Message::new(Address::sim(0), self_addr),
+                reason: format!(
+                    "frame length {len} exceeds max_frame {}; dropping connection",
+                    frame::MAX_FRAME
+                ),
+            });
+            return;
         }
     }
 }
@@ -861,6 +870,30 @@ mod tests {
             delay >= nominal.mul_f64(1.0 - CONNECT_JITTER),
             "{what}: at most 25% shaved: {delay:?} vs {nominal:?}"
         );
+    }
+
+    #[test]
+    fn dialed_and_accepted_streams_get_the_same_socket_options() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let shared = Shared::new(
+            Arc::new(MessageRegistry::new()),
+            TcpConfig::default(),
+            Address::local(port, 1),
+        );
+        let dialed = try_connect(&shared, Address::local(port, 1)).expect("listener is up");
+        let (accepted, peer) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "the OS default is Nagle on");
+        configure_stream(&shared, &accepted, &peer);
+        for (stream, end) in [(&dialed, "dialed"), (&accepted, "accepted")] {
+            assert!(stream.nodelay().unwrap(), "{end}: TCP_NODELAY");
+            assert_eq!(
+                stream.read_timeout().unwrap(),
+                Some(Duration::from_millis(200)),
+                "{end}: read timeout"
+            );
+        }
+        assert_eq!(shared.sockopt_errors.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! ```
 //!
 //! The expected bytes are spelled out from that layout and the codec's
-//! documented rules (varint integers, structs as their fields in order), so
-//! a change to what goes on the wire fails here whichever module made it.
+//! documented rules (varint integers, structs as their fields in order, a
+//! byte string as its varint length and then its bytes, whatever their
+//! values), so a change to what goes on the wire fails here whichever
+//! module made it.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, UdpSocket};
@@ -68,6 +70,24 @@ fn blob(source: Address, destination: Address) -> Blob {
     }
 }
 
+/// Every byte value once, both sides of 0x80; short enough to stay below
+/// the compression threshold.
+fn high_blob(source: Address, destination: Address) -> Blob {
+    Blob {
+        base: Message::new(source, destination),
+        data: (0..=255).collect(),
+    }
+}
+
+/// Above the compression threshold, and no two adjacent bytes equal, so RLE
+/// has nothing to shrink.
+fn noise_blob(source: Address, destination: Address) -> Blob {
+    Blob {
+        base: Message::new(source, destination),
+        data: (0..1000u32).map(|i| (i * 89 % 251) as u8).collect(),
+    }
+}
+
 fn varint(mut v: u64, out: &mut Vec<u8>) {
     while v >= 0x80 {
         out.push(v as u8 | 0x80);
@@ -110,6 +130,21 @@ fn blob_payload(b: &Blob) -> Vec<u8> {
     assert!(compressed.ends_with(&[0xFF, 0x42].repeat(10)));
     let mut out = vec![FLAG_COMPRESSED, BLOB_TAG];
     out.extend_from_slice(&compressed);
+    out
+}
+
+/// A blob that goes out as encoded: flags bit 0 clear, the data field its
+/// varint length and then the bytes themselves, one wire byte each.
+fn raw_blob_payload(b: &Blob) -> Vec<u8> {
+    let mut out = vec![0x00, BLOB_TAG];
+    header_bytes(&b.base, &mut out);
+    varint(b.data.len() as u64, &mut out);
+    out.extend_from_slice(&b.data);
+    let body = &out[2..];
+    assert!(
+        body.len() <= 512 || kompics_codec::rle_compress(body).len() >= body.len(),
+        "only a body RLE cannot shrink is sent verbatim"
+    );
     out
 }
 
@@ -221,6 +256,81 @@ fn udp_sends_golden_datagrams() {
     assert_eq!(&buf[..n], ping_payload(&p));
     let (n, _) = raw.recv_from(&mut buf).unwrap();
     assert_eq!(&buf[..n], blob_payload(&b));
+    system.shutdown();
+}
+
+#[test]
+fn byte_strings_go_out_raw_and_incompressible_bodies_verbatim() {
+    let system = KompicsSystem::new(Config::default().workers(2));
+    let (_tcp, tcp_addr, tcp_net, _seen) = tcp_node(&system, 1);
+    let (_udp, udp_addr, udp_net, _seen) = udp_node(&system, 2);
+    let raw_tcp = TcpListener::bind("127.0.0.1:0").unwrap();
+    let tcp_peer = Address::local(raw_tcp.local_addr().unwrap().port(), 9);
+    let raw_udp = UdpSocket::bind("127.0.0.1:0").unwrap();
+    raw_udp
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let udp_peer = Address::local(raw_udp.local_addr().unwrap().port(), 9);
+
+    let (high, noise) = (
+        high_blob(tcp_addr, tcp_peer),
+        noise_blob(tcp_addr, tcp_peer),
+    );
+    assert!(
+        raw_blob_payload(&noise).len() > 512 + 2,
+        "above the threshold"
+    );
+    tcp_net.trigger(high.clone()).unwrap();
+    tcp_net.trigger(noise.clone()).unwrap();
+    let mut expected = hello(tcp_addr);
+    expected.extend_from_slice(&framed(&raw_blob_payload(&high)));
+    expected.extend_from_slice(&framed(&raw_blob_payload(&noise)));
+    let (mut stream, _) = raw_tcp.accept().unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut got = vec![0u8; expected.len()];
+    stream.read_exact(&mut got).unwrap();
+    assert_eq!(got, expected);
+
+    let (high, noise) = (
+        high_blob(udp_addr, udp_peer),
+        noise_blob(udp_addr, udp_peer),
+    );
+    udp_net.trigger(high.clone()).unwrap();
+    udp_net.trigger(noise.clone()).unwrap();
+    let mut buf = [0u8; 2048];
+    let (n, _) = raw_udp.recv_from(&mut buf).unwrap();
+    assert_eq!(&buf[..n], raw_blob_payload(&high));
+    let (n, _) = raw_udp.recv_from(&mut buf).unwrap();
+    assert_eq!(&buf[..n], raw_blob_payload(&noise));
+    system.shutdown();
+}
+
+#[test]
+fn raw_byte_strings_and_verbatim_bodies_are_delivered() {
+    let system = KompicsSystem::new(Config::default().workers(2));
+    let (_tcp, tcp_addr, _net, tcp_seen) = tcp_node(&system, 1);
+    let (_udp, udp_addr, _net, udp_seen) = udp_node(&system, 2);
+    let peer = Address::local(1, 9);
+
+    let sent_tcp = vec![high_blob(peer, tcp_addr), noise_blob(peer, tcp_addr)];
+    let mut stream = TcpStream::connect(tcp_addr.socket_addr()).unwrap();
+    for b in &sent_tcp {
+        stream.write_all(&framed(&raw_blob_payload(b))).unwrap();
+    }
+    let sent_udp = vec![high_blob(peer, udp_addr), noise_blob(peer, udp_addr)];
+    let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+    for b in &sent_udp {
+        raw.send_to(&raw_blob_payload(b), udp_addr.socket_addr())
+            .unwrap();
+    }
+
+    wait_until("the TCP frames", || tcp_seen.lock().len() >= 2);
+    wait_until("the UDP datagrams", || udp_seen.lock().len() >= 2);
+    assert_eq!(delivered::<Blob>(&tcp_seen), sent_tcp);
+    assert_eq!(delivered::<Blob>(&udp_seen), sent_udp);
+    assert!(delivered::<DeadLetter>(&tcp_seen).is_empty());
     system.shutdown();
 }
 

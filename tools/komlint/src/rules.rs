@@ -224,7 +224,7 @@ pub const RULES: &[Rule] = &[
         },
         message: "whole-buffer copy on the zero-copy wire path",
         hint: "the wire path carries frames as refcounted `bytes::Bytes`: slice or \
-               `split_to`/`freeze_to` instead of copying, and decode through \
+               `split_to` instead of copying, and decode through \
                `decode_shared` so payload fields borrow the receive buffer; if the \
                copy is genuinely required (in-place compression, retained/coalesced \
                events), allow it with a reason",
