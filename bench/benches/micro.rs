@@ -89,24 +89,40 @@ fn bench_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_dispatch");
     group.throughput(Throughput::Elements(1));
     // One trigger → queue → handler execution, on the sequential scheduler
-    // (isolates the runtime path from thread wakeups).
-    let (system, scheduler) = KompicsSystem::sequential(Config::default().throughput(64));
-    let seen = Arc::new(AtomicU64::new(0));
-    let sink = system.create({
-        let s = seen.clone();
-        move || Sink::new(s)
-    });
-    system.start(&sink);
-    scheduler.run_until_quiescent();
-    let port = sink.required_ref::<Pipe>().unwrap();
-    group.bench_function("trigger_and_execute", |b| {
-        b.iter(|| {
-            port.trigger(Tick(1)).unwrap();
-            scheduler.run_until_quiescent();
-        })
-    });
+    // (isolates the runtime path from thread wakeups). The two arms give
+    // the cost of an *installed* registry (metrics on, tracing off) over
+    // the failed `OnceLock::get` every system pays: a number to read, not
+    // a gate.
+    for installed in [false, true] {
+        let (system, scheduler) = KompicsSystem::sequential(Config::default().throughput(64));
+        if installed {
+            let registry = Arc::new(kompics::telemetry::Registry::with_shards(1));
+            let spec =
+                kompics::core::telemetry::TelemetrySpec::new(registry, SystemClock::shared());
+            assert!(system.install_telemetry(spec), "fresh system");
+        }
+        let seen = Arc::new(AtomicU64::new(0));
+        let sink = system.create({
+            let s = seen.clone();
+            move || Sink::new(s)
+        });
+        system.start(&sink);
+        scheduler.run_until_quiescent();
+        let port = sink.required_ref::<Pipe>().unwrap();
+        let arm = if installed {
+            "installed"
+        } else {
+            "not_installed"
+        };
+        group.bench_function(BenchmarkId::new("trigger_and_execute", arm), |b| {
+            b.iter(|| {
+                port.trigger(Tick(1)).unwrap();
+                scheduler.run_until_quiescent();
+            })
+        });
+        system.shutdown();
+    }
     group.finish();
-    system.shutdown();
 }
 
 /// Terminal of a relay chain: counts requests arriving at its provided
@@ -412,10 +428,10 @@ fn bench_scheduler_fanin(c: &mut Criterion) {
 
 /// E3 ablation (batch vs single steal) at 1/2/4/8 workers: a splitter fans
 /// each round out to 64 sinks from a worker thread, so the ready sinks land
-/// on that worker's local deque and siblings must steal them — the access
-/// pattern where the steal-batch policy matters. The standalone
-/// `dispatch_bench` binary runs the full-size version; this criterion group
-/// tracks the same shape with statistics.
+/// on that worker's shard and siblings must steal them — the access
+/// pattern where the steal-batch policy matters. `exp3_worksteal_ablation`
+/// runs the paper-sized version; this criterion group tracks the same
+/// shape with statistics.
 fn bench_e3_ablation(c: &mut Criterion) {
     const COMPONENTS: usize = 64;
     const ROUNDS: u64 = 8;

@@ -7,10 +7,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Sender};
 use kompics_core::channel::connect;
 use kompics_core::component::Component;
 use kompics_core::port::PortRef;
@@ -34,7 +34,7 @@ pub enum OpOutcome {
     Failed(String),
 }
 
-type PendingMap = Arc<Mutex<std::collections::HashMap<u64, Sender<OpOutcome>>>>;
+type PendingMap = Arc<Mutex<std::collections::HashMap<u64, SyncSender<OpOutcome>>>>;
 
 /// Collects `PutGet` indications from every node and resolves the blocking
 /// callers.
@@ -251,7 +251,7 @@ impl LocalCatsCluster {
             return OpOutcome::Failed("no nodes in cluster".into());
         };
         let opid = self.next_op.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         self.pending.lock().insert(opid, tx);
         f(opid, &self.nodes[&target].put_get);
         // komlint: allow(blocking-recv) reason="this IS the blocking client API; it runs on the caller's thread, never inside a handler"

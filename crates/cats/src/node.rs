@@ -64,8 +64,7 @@ pub struct CatsConfig {
     /// view sizes). `None` keeps the node metrics-free; the runtime's own
     /// per-component instrumentation is configured separately via
     /// `KompicsSystem::install_telemetry` / `Simulation::install_telemetry`
-    /// (behind the `telemetry` cargo feature) and typically shares this
-    /// registry.
+    /// and typically shares this registry.
     pub telemetry: Option<std::sync::Arc<kompics_telemetry::Registry>>,
 }
 

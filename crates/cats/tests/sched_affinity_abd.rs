@@ -156,7 +156,6 @@ fn abd_round(t: &mut TestContext<ConsistentAbd>) {
 fn abd_round_under_stalled_affinity_scheduler() {
     let config = Config::default().workers(8).throughput(2).scheduler(
         SchedulerSpec::default()
-            .affinity(true)
             .inbound_capacity(4)
             .steal_batch(2)
             .stall_at(0, 1, 3)
@@ -172,9 +171,7 @@ fn abd_round_under_stalled_affinity_scheduler() {
 /// Same spec, one worker: fully serialized execution.
 #[test]
 fn abd_round_under_single_worker() {
-    let config = Config::default()
-        .workers(1)
-        .scheduler(SchedulerSpec::default().affinity(true));
+    let config = Config::default().workers(1);
     let mut t = TestContext::threaded_with(config, coordinator);
     abd_round(&mut t);
     t.check().unwrap();

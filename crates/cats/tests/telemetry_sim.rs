@@ -3,9 +3,8 @@
 //! text and JSON snapshot) and an identical causal trace rendering —
 //! virtual-time timestamps, per-run span ids and single-shard sinks make
 //! the whole observability surface as reproducible as the simulation
-//! itself.
-
-#![cfg(feature = "telemetry")]
+//! itself. And the hooks only observe: the same seed without telemetry
+//! installed completes the same operations at the same virtual times.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -13,6 +12,7 @@ use std::time::Duration;
 use cats::abd::AbdConfig;
 use cats::experiments::{CatsOp, ExperimentOp};
 use cats::key::RingKey;
+use cats::lin::{check_linearizable, RegisterOp};
 use cats::node::CatsConfig;
 use cats::ring::RingConfig;
 use cats::sim::CatsSimulator;
@@ -21,13 +21,24 @@ use kompics_protocols::fd::FdConfig;
 use kompics_simulation::{Dist, EmulatorConfig, LatencyModel, Simulation};
 use kompics_telemetry::{json_snapshot, prometheus_text, render_trace, TraceSink};
 
+/// What one run produced: the three telemetry exports (empty when nothing
+/// was installed), the completed operations as (key, invoke, response, op),
+/// and whether that history is linearizable.
+struct Run {
+    prom: String,
+    json: String,
+    trace: String,
+    history: Vec<(RingKey, u64, u64, RegisterOp)>,
+    linearizable: bool,
+}
+
 /// One complete simulated run: boot a 3-node cluster, settle, do a
 /// put/get round, and export every telemetry surface.
-fn run_once(seed: u64) -> (String, String, String) {
+fn run_once(seed: u64, instrumented: bool) -> Run {
     let sim = Simulation::new(seed);
     // Install BEFORE creating components so per-component instrumentation
     // attaches to every node in the cluster.
-    let telemetry = sim.install_telemetry();
+    let telemetry = instrumented.then(|| sim.install_telemetry());
 
     let config = CatsConfig {
         replication: Some(3),
@@ -48,7 +59,7 @@ fn run_once(seed: u64) -> (String, String, String) {
             max_retries: 4,
             ..AbdConfig::default()
         },
-        telemetry: Some(Arc::clone(&telemetry.registry)),
+        telemetry: telemetry.as_ref().map(|t| Arc::clone(&t.registry)),
     };
 
     let des = sim.des().clone();
@@ -84,22 +95,44 @@ fn run_once(seed: u64) -> (String, String, String) {
     .unwrap();
     sim.run_for(Duration::from_millis(500));
 
-    let completed = simulator
-        .on_definition(|s| s.stats().completed)
+    let (history, linearizable) = simulator
+        .on_definition(|s| {
+            // Every operation is on the one key, so one check covers them.
+            let records: Vec<_> = s.history().iter().map(|h| h.record).collect();
+            let history: Vec<_> = s
+                .history()
+                .iter()
+                .map(|h| (h.key, h.record.invoke, h.record.response, h.record.op))
+                .collect();
+            (history, check_linearizable(&records).is_ok())
+        })
         .expect("simulator alive");
-    assert!(completed >= 2, "put and get completed: {completed}");
+    assert!(history.len() >= 2, "put and get completed: {history:?}");
 
-    let prom = prometheus_text(&telemetry.registry);
-    let json = json_snapshot(&telemetry.registry);
-    let trace = render_trace(&telemetry.trace.snapshot());
+    let (prom, json, trace) = telemetry
+        .map(|t| {
+            (
+                prometheus_text(&t.registry),
+                json_snapshot(&t.registry),
+                render_trace(&t.trace.snapshot()),
+            )
+        })
+        .unwrap_or_default();
     sim.shutdown();
-    (prom, json, trace)
+    Run {
+        prom,
+        json,
+        trace,
+        history,
+        linearizable,
+    }
 }
 
 #[test]
 fn same_seed_runs_export_identical_telemetry() {
-    let (prom_a, json_a, trace_a) = run_once(42);
-    let (prom_b, json_b, trace_b) = run_once(42);
+    let (a, b) = (run_once(42, true), run_once(42, true));
+    let (prom_a, json_a, trace_a) = (a.prom, a.json, a.trace);
+    let (prom_b, json_b, trace_b) = (b.prom, b.json, b.trace);
 
     // The runtime's automatic instrumentation saw the cluster...
     assert!(
@@ -130,7 +163,19 @@ fn different_seeds_diverge() {
     // Sanity check that the determinism assertion above is not vacuous:
     // a different seed produces a different trace (virtual latencies and
     // event interleavings differ).
-    let (_, _, trace_a) = run_once(42);
-    let (_, _, trace_b) = run_once(43);
+    let trace_a = run_once(42, true).trace;
+    let trace_b = run_once(43, true).trace;
     assert_ne!(trace_a, trace_b, "distinct seeds take distinct paths");
+}
+
+/// Instrumentation observes, never perturbs: the hooks are in every build,
+/// so installing a registry and a tracer must not change what the system
+/// under test does.
+#[test]
+fn installing_telemetry_does_not_change_the_run() {
+    let bare = run_once(42, false);
+    let instrumented = run_once(42, true);
+    assert!(bare.trace.is_empty() && !instrumented.trace.is_empty());
+    assert_eq!(bare.history, instrumented.history, "same operation history");
+    assert!(bare.linearizable && instrumented.linearizable);
 }

@@ -107,8 +107,8 @@ impl Channel {
     ///
     /// Forwarding is *synchronous on the triggering thread*: the chain
     /// trigger → channel → far half → `enqueue_work` runs before the
-    /// original `trigger` returns. Causal tracing (the `telemetry` feature)
-    /// relies on this — the span of the handler that triggered the event is
+    /// original `trigger` returns. Causal tracing (`crate::telemetry`) relies
+    /// on this — the span of the handler that triggered the event is
     /// still the thread's current span when delivery mints the child span,
     /// so causality propagates through channels without the channel
     /// carrying any trace state.

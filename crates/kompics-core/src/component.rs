@@ -114,7 +114,6 @@ pub(crate) struct WorkItem {
     pub(crate) event: EventRef,
     /// Causal span minted at delivery (`enqueue_work`); `0` when telemetry
     /// or tracing is not installed.
-    #[cfg(feature = "telemetry")]
     pub(crate) span: u64,
 }
 
@@ -124,7 +123,6 @@ impl WorkItem {
             half,
             direction,
             event,
-            #[cfg(feature = "telemetry")]
             span: 0,
         }
     }
@@ -471,7 +469,6 @@ pub struct ComponentCore {
     children: Mutex<Vec<Arc<ComponentCore>>>,
     /// Instrumentation handles, set once at creation when the system has
     /// telemetry installed. A single `OnceLock::get` when absent.
-    #[cfg(feature = "telemetry")]
     metrics: OnceLock<crate::telemetry::ComponentMetrics>,
 }
 
@@ -560,7 +557,7 @@ impl ComponentCore {
         }
     }
 
-    pub(crate) fn enqueue_work(self: &Arc<Self>, item: WorkItem) -> Enqueued {
+    pub(crate) fn enqueue_work(self: &Arc<Self>, mut item: WorkItem) -> Enqueued {
         let Some(system) = self.system.upgrade() else {
             return Enqueued::Dropped;
         };
@@ -568,21 +565,15 @@ impl ComponentCore {
         // event becomes one handler execution. The span's parent is whatever
         // handler is executing on *this* thread (channels forward
         // synchronously, so causality flows through the thread-local).
-        #[cfg(feature = "telemetry")]
-        let item = {
-            let mut item = item;
-            if let Some(metrics) = self.metrics.get() {
-                // `tracing()` first: `event_name()` is a virtual call and
-                // must stay off the metrics-only hot path.
-                if metrics.tracing() {
-                    if let Some(span) = metrics.deliver_span(self.id.raw(), item.event.event_name())
-                    {
-                        item.span = span;
-                    }
+        if let Some(metrics) = self.metrics.get() {
+            // `tracing()` first: `event_name()` is a virtual call and must
+            // stay off the metrics-only hot path.
+            if metrics.tracing() {
+                if let Some(span) = metrics.deliver_span(self.id.raw(), item.event.event_name()) {
+                    item.span = span;
                 }
             }
-            item
-        };
+        }
         let lane = if item.half.port_type == TypeId::of::<ControlPort>() {
             Lane::Control
         } else {
@@ -634,7 +625,6 @@ impl ComponentCore {
         self.executing.store(true, Ordering::Release);
         // Sampled slice timing: `slice_begin` reads the clock only on every
         // `SLICE_SAMPLE`-th slice, so the common slice adds one counter bump.
-        #[cfg(feature = "telemetry")]
         let slice_started = self.metrics.get().and_then(|m| m.slice_begin());
         let throughput = system.throughput().max(1);
         let mut ctl_popped = 0usize;
@@ -683,7 +673,6 @@ impl ComponentCore {
         self.mailbox.settle(Lane::Control, ctl_popped);
         self.mailbox.settle(Lane::Data, work_popped);
         system.pending_sub(ctl_popped + work_popped);
-        #[cfg(feature = "telemetry")]
         if let Some(metrics) = self.metrics.get() {
             metrics.slice_end(slice_started, ctl_popped + work_popped);
         }
@@ -748,7 +737,6 @@ impl ComponentCore {
         // previous span (executions nest through synchronous forwarding).
         // `item.span != 0` short-circuits before the virtual `event_name()`
         // call; spans are only minted when tracing is on.
-        #[cfg(feature = "telemetry")]
         let _span_scope = if item.span != 0 {
             self.metrics
                 .get()
@@ -1015,9 +1003,8 @@ where
     let definition = definition?;
 
     let id = system.next_component_id();
-    #[cfg(feature = "telemetry")]
     let kind = definition.type_name();
-    let name = format!("{} {}", definition.type_name(), id);
+    let name = format!("{kind} {id}");
     let (control_inside, control_outside) = PortCore::new_pair::<ControlPort>(true);
 
     let core = Arc::new(ComponentCore {
@@ -1035,10 +1022,8 @@ where
         control_outside,
         parent: Mutex::new(parent.as_ref().map(Arc::downgrade)),
         children: Mutex::new(Vec::new()),
-        #[cfg(feature = "telemetry")]
         metrics: OnceLock::new(),
     });
-    #[cfg(feature = "telemetry")]
     if let Some(telemetry) = system.telemetry() {
         let _ = core.metrics.set(telemetry.component_metrics(kind));
     }

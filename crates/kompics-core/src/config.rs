@@ -17,22 +17,19 @@ pub struct WorkerStall {
     pub millis: u64,
 }
 
-/// Configuration of the sharded work-stealing scheduler: shard count,
-/// affinity routing, steal batching, inbound-ring capacity, and planted
-/// worker stalls.
+/// Configuration of the sharded work-stealing scheduler: steal batching,
+/// inbound-ring capacity, and planted worker stalls.
 ///
 /// ```rust
 /// use kompics_core::config::{Config, SchedulerSpec};
 ///
 /// let config = Config::default()
 ///     .workers(8)
-///     .scheduler(SchedulerSpec::default().affinity(true).steal_batch(4));
+///     .scheduler(SchedulerSpec::default().steal_batch(4));
 /// assert_eq!(config.scheduler_spec().steal_batch_size(), 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedulerSpec {
-    shards: usize,
-    affinity: bool,
     steal_batch: usize,
     inbound_capacity: usize,
     stalls: Vec<WorkerStall>,
@@ -41,8 +38,6 @@ pub struct SchedulerSpec {
 impl Default for SchedulerSpec {
     fn default() -> Self {
         SchedulerSpec {
-            shards: 0,
-            affinity: true,
             steal_batch: Self::DEFAULT_STEAL_BATCH,
             inbound_capacity: 256,
             stalls: Vec::new(),
@@ -55,26 +50,9 @@ impl SchedulerSpec {
     /// paper's E3 ablation; `steal_batch(1)` is the "single" mode).
     pub const DEFAULT_STEAL_BATCH: usize = 8;
 
-    /// Creates the default spec (one shard per worker, affinity on, batch
-    /// stealing).
+    /// Creates the default spec (batch stealing).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the shard count. `0` (the default) means one shard per worker;
-    /// non-zero values are raised to at least the worker count at pool
-    /// construction.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Enables (default) or disables component-to-worker affinity. When
-    /// disabled, pool workers push to their own shard and external threads
-    /// round-robin across shards — the "no affinity" ablation baseline.
-    pub fn affinity(mut self, affinity: bool) -> Self {
-        self.affinity = affinity;
-        self
     }
 
     /// Sets the maximum components a thief takes per steal (at least 1;
@@ -99,16 +77,6 @@ impl SchedulerSpec {
             millis,
         });
         self
-    }
-
-    /// The configured shard count (`0` = one per worker).
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// Whether affinity routing is enabled.
-    pub fn affinity_enabled(&self) -> bool {
-        self.affinity
     }
 
     /// The maximum components taken per steal.
@@ -182,8 +150,8 @@ impl Config {
         self
     }
 
-    /// Sets the full scheduler configuration (shards, affinity, steal
-    /// batching, planted stalls). See [`SchedulerSpec`].
+    /// Sets the scheduler configuration (steal batching, ring capacity,
+    /// planted stalls). See [`SchedulerSpec`].
     pub fn scheduler(mut self, spec: SchedulerSpec) -> Self {
         self.scheduler = spec;
         self
@@ -254,13 +222,9 @@ mod tests {
     #[test]
     fn scheduler_spec_builder() {
         let spec = SchedulerSpec::new()
-            .shards(16)
-            .affinity(false)
             .steal_batch(0)
             .inbound_capacity(1)
             .stall_at(2, 100, 5);
-        assert_eq!(spec.shard_count(), 16);
-        assert!(!spec.affinity_enabled());
         assert_eq!(spec.steal_batch_size(), 1, "batch clamps to >= 1");
         assert_eq!(spec.ring_capacity(), 2, "ring clamps to >= 2");
         assert_eq!(

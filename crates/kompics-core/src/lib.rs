@@ -89,7 +89,6 @@ pub mod reconfig;
 pub mod sched;
 pub mod supervision;
 pub mod system;
-#[cfg(feature = "telemetry")]
 pub mod telemetry;
 pub mod testing;
 pub mod types;

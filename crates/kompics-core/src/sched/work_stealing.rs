@@ -1,19 +1,18 @@
 //! The multi-core scheduler (production mode): **sharded run queues with
 //! component-to-worker affinity**.
 //!
-//! The first-generation design (per-worker crossbeam deques + one shared
-//! injector + uniform stealing) collapsed under fan-in: every external
-//! schedule crossed the global injector, every idle worker hammered every
-//! victim, and a component's events bounced between cores on every slice.
-//! This design shards the scheduler state so the hot paths touch only
+//! The first-generation design (per-worker deques + one shared injector +
+//! uniform stealing) collapsed under fan-in: every external schedule
+//! crossed the global injector, every idle worker hammered every victim,
+//! and a component's events bounced between cores on every slice. This
+//! design shards the scheduler state so the hot paths touch only
 //! core-local structures:
 //!
-//! * **Shards.** The pool owns `shards >= workers` shards; shard `s`
-//!   belongs to worker `s % workers` (with the default `shards == workers`
-//!   this is one shard per worker). A shard is a private run queue (popped
-//!   only under its lock, almost always by its owner) plus a bounded
-//!   lock-free *inbound ring* ([`BoundedRing`]) where other threads hand
-//!   off work without taking the queue lock.
+//! * **Shards.** Every worker owns exactly one shard (shard `w` belongs to
+//!   worker `w`). A shard is a private run queue (popped only under its
+//!   lock, almost always by its owner) plus a bounded lock-free *inbound
+//!   ring* ([`BoundedRing`]) where other threads hand off work without
+//!   taking the queue lock.
 //! * **Affinity.** Every component has a *home shard* — initially the pure
 //!   hash [`affinity::home_shard`] of its id — carried on the component as
 //!   a [`HomeHint`]. The scheduled-flag handoff in
@@ -49,7 +48,8 @@
 //!
 //! ## Wakeup protocol
 //!
-//! Parking is untimed; sleep/wake linearize through per-shard SeqCst
+//! Parking is untimed ([`std::thread::park`], woken through the workers'
+//! [`Thread`] handles); sleep/wake linearize through per-shard SeqCst
 //! epochs plus one global sleeper *bitmask* (`1 << worker`, hence the
 //! [`affinity::MAX_WORKERS`] cap):
 //!
@@ -57,20 +57,31 @@
 //!   shard's `epoch` (SeqCst), and — only if the owner's bit is set in
 //!   `sleepers` — clears the bit with a `fetch_and` and unparks exactly
 //!   that worker (winning the `fetch_and` makes the unpark exclusive);
-//! * a worker that found no work records the epoch-sum of its shards,
-//!   rescans (including a steal sweep), sets its sleeper bit, **re-checks**
-//!   the epoch-sum and shutdown flag, and only then parks.
+//! * a worker that found no work records its shard's epoch, rescans
+//!   (including a steal sweep), sets its sleeper bit, **re-checks** the
+//!   epoch and shutdown flag, and only then parks.
 //!
 //! In the SeqCst total order, either the producer's epoch bump precedes
 //! the worker's re-check (the worker retracts and rescans; the bump's
 //! happens-before edge makes the push visible), or the worker's
 //! `fetch_or` precedes the producer's sleeper check (the producer sees the
-//! bit and unparks it; the parker token makes an early unpark stick). No
-//! interleaving loses a wakeup, and — because every cross-shard push wakes
-//! the *home* owner, owner-local pushes mean the owner is awake by
-//! definition, and the lazy-wake path keeps the component on the *awake*
-//! caller — every enqueued event is executed after a bounded number of
-//! park/unpark cycles (`sched_props.rs` pins this).
+//! bit and unparks it; the thread's park token makes an early unpark
+//! stick). No interleaving loses a wakeup, and — because every cross-shard
+//! push wakes the *home* owner, owner-local pushes mean the owner is awake
+//! by definition, and the lazy-wake path keeps the component on the
+//! *awake* caller — every enqueued event is executed after a bounded
+//! number of park/unpark cycles (`sched_props.rs` pins this).
+//!
+//! std's park token belongs to the *thread*, not to this protocol: a
+//! handler that blocks in a std channel, or calls `unpark` on its own
+//! thread, can leave a stale token behind, and `park` may also return
+//! spuriously. Either makes one `park()` return early, which is harmless —
+//! after every return the worker clears its sleeper bit and rescans from
+//! the top, so an early return costs one extra scan and never skips the
+//! announce → re-check → park sequence. The converse cannot happen: a
+//! worker's bit is set only between its announcement and its return from
+//! `park`, so `wake_worker`/`wake_helper` never unpark a thread that is
+//! inside a handler.
 //!
 //! Backlog crossing [`HELP_DEPTH`] multiples additionally wakes one extra
 //! sleeper per crossing (helper wake), which is how fan-in load spreads
@@ -86,9 +97,9 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 
-use crossbeam::sync::{Parker, Unparker};
 use parking_lot::Mutex;
 
 use crate::component::{ComponentCore, ExecuteResult};
@@ -138,8 +149,7 @@ struct Shard {
     depth: AtomicUsize,
     /// Per-shard scheduling epoch for the park protocol (see module docs).
     epoch: AtomicU64,
-    /// Slices executed by this shard's owning worker (attributed to the
-    /// worker's primary shard).
+    /// Slices executed by this shard's owning worker.
     executed: AtomicU64,
     /// Components stolen *away* from this shard by thieves.
     stolen: AtomicU64,
@@ -160,17 +170,17 @@ impl Shard {
 
 struct Pool {
     id: u64,
-    workers: usize,
-    affinity: bool,
     steal_batch: usize,
+    /// One shard per worker: shard `w` is owned by worker `w`.
     shards: Vec<Shard>,
-    unparkers: Vec<Unparker>,
+    /// The workers' thread handles, set by `with_spec` before it returns.
+    /// Nothing can be scheduled before that, so every `wake_*` and
+    /// `shutdown` call finds them.
+    threads: OnceLock<Vec<Thread>>,
     /// Bitmask of parked (or irrevocably about-to-park) workers; bit
     /// `1 << worker`. Producers wake a worker by winning the `fetch_and`
     /// that clears its bit.
     sleepers: AtomicU64,
-    /// Round-robin cursor for external pushes when affinity is disabled.
-    next_external: AtomicUsize,
     steal_attempts: AtomicU64,
     steal_successes: AtomicU64,
     parks: AtomicU64,
@@ -186,14 +196,8 @@ struct Pool {
 }
 
 impl Pool {
-    fn owner_of(&self, shard: usize) -> usize {
-        shard % self.workers
-    }
-
-    /// The shard a worker pushes its own work to (its lowest-index shard;
-    /// with `shards == workers` simply the worker index).
-    fn primary_shard(&self, worker: usize) -> usize {
-        worker
+    fn unpark(&self, worker: usize) {
+        self.threads.get().expect("set before with_spec returns")[worker].unpark();
     }
 
     /// Wakes `worker` iff its sleeper bit is set; winning the `fetch_and`
@@ -203,7 +207,7 @@ impl Pool {
         if self.sleepers.load(Ordering::SeqCst) & bit != 0
             && self.sleepers.fetch_and(!bit, Ordering::SeqCst) & bit != 0
         {
-            self.unparkers[worker].unpark();
+            self.unpark(worker);
         }
     }
 
@@ -220,7 +224,7 @@ impl Pool {
             let worker = mask.trailing_zeros() as usize;
             let bit = 1u64 << worker;
             if self.sleepers.fetch_and(!bit, Ordering::SeqCst) & bit != 0 {
-                self.unparkers[worker].unpark();
+                self.unpark(worker);
                 return;
             }
             mask &= !bit;
@@ -231,9 +235,8 @@ impl Pool {
     /// needed. `caller` is the pool worker index when invoked from a worker
     /// thread.
     fn dispatch(&self, component: Arc<ComponentCore>, caller: Option<usize>) {
-        let shard = self.route(&component, caller);
-        let owner = self.owner_of(shard);
-        let target = &self.shards[shard];
+        let owner = self.route(&component, caller);
+        let target = &self.shards[owner];
         // Count before the push completes so steal sweeps racing this push
         // either see the item or over-estimate (harmless) — never under.
         let depth_after = target.depth.fetch_add(1, Ordering::SeqCst) + 1;
@@ -264,39 +267,22 @@ impl Pool {
         }
     }
 
-    /// Picks the shard for a component. With affinity on this is the home
-    /// shard, except that a pool worker pulls the component onto its own
-    /// shard when the home owner is parked (lazy wake). With affinity off:
-    /// caller's shard from inside the pool, round-robin from outside.
+    /// Picks the shard (= worker) for a component: its home shard, except
+    /// that a pool worker pulls the component onto its own shard when the
+    /// home owner is parked (lazy wake).
     fn route(&self, component: &ComponentCore, caller: Option<usize>) -> usize {
-        if self.affinity {
-            let hint = component.home_hint();
-            let home = hint.home_or_assign(home_shard(component.id().raw(), self.shards.len()));
-            if let Some(worker) = caller {
-                let owner = self.owner_of(home);
-                if owner != worker && self.sleepers.load(Ordering::SeqCst) & (1u64 << owner) != 0 {
-                    // Lazy wake: the home owner is asleep; keep the work on
-                    // this (awake, warm) worker and move the home with it.
-                    let pulled = self.primary_shard(worker);
-                    hint.set_home(pulled);
-                    self.migrations.fetch_add(1, Ordering::Relaxed);
-                    return pulled;
-                }
-            }
-            home
-        } else {
-            match caller {
-                Some(worker) => self.primary_shard(worker),
-                None => self.next_external.fetch_add(1, Ordering::Relaxed) % self.shards.len(),
+        let hint = component.home_hint();
+        let home = hint.home_or_assign(home_shard(component.id().raw(), self.shards.len()));
+        if let Some(worker) = caller {
+            if home != worker && self.sleepers.load(Ordering::SeqCst) & (1u64 << home) != 0 {
+                // Lazy wake: the home owner is asleep; keep the work on
+                // this (awake, warm) worker and move the home with it.
+                hint.set_home(worker);
+                self.migrations.fetch_add(1, Ordering::Relaxed);
+                return worker;
             }
         }
-    }
-
-    fn epoch_sum(&self, owned: &[usize]) -> u64 {
-        owned
-            .iter()
-            .map(|&s| self.shards[s].epoch.load(Ordering::SeqCst))
-            .fold(0u64, u64::wrapping_add)
+        home
     }
 }
 
@@ -305,40 +291,29 @@ impl Pool {
 pub struct WorkStealingScheduler {
     pool: Arc<Pool>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    workers: usize,
 }
 
 impl WorkStealingScheduler {
     /// Creates a scheduler with `workers` threads and the default
-    /// [`SchedulerSpec`] (one shard per worker, affinity on).
+    /// [`SchedulerSpec`].
     pub fn new(workers: usize) -> Arc<Self> {
         Self::with_spec(workers, SchedulerSpec::default())
     }
 
     /// Creates a scheduler from a full [`SchedulerSpec`]. Workers clamp to
     /// `1..=`[`affinity::MAX_WORKERS`] (the sleeper set is one `u64`
-    /// bitmask); shard count resolves to at least one per worker.
+    /// bitmask).
     pub fn with_spec(workers: usize, spec: SchedulerSpec) -> Arc<Self> {
         let workers = workers.clamp(1, affinity::MAX_WORKERS);
-        let shard_count = if spec.shard_count() == 0 {
-            workers
-        } else {
-            spec.shard_count().max(workers)
-        };
-        let shards = (0..shard_count)
+        let shards = (0..workers)
             .map(|_| Shard::new(spec.ring_capacity()))
             .collect();
-        let parkers: Vec<Parker> = (0..workers).map(|_| Parker::new()).collect();
-        let unparkers = parkers.iter().map(Parker::unparker).cloned().collect();
         let pool = Arc::new(Pool {
             id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
-            workers,
-            affinity: spec.affinity_enabled(),
             steal_batch: spec.steal_batch_size().max(1),
             shards,
-            unparkers,
+            threads: OnceLock::new(),
             sleepers: AtomicU64::new(0),
-            next_external: AtomicUsize::new(0),
             steal_attempts: AtomicU64::new(0),
             steal_successes: AtomicU64::new(0),
             parks: AtomicU64::new(0),
@@ -349,40 +324,31 @@ impl WorkStealingScheduler {
             shutdown: AtomicBool::new(false),
         });
         let mut threads = Vec::with_capacity(workers);
-        for (index, parker) in parkers.into_iter().enumerate() {
+        for index in 0..workers {
             let pool = Arc::clone(&pool);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("kompics-worker-{index}"))
-                    .spawn(move || worker_loop(pool, parker, index))
+                    .spawn(move || worker_loop(pool, index))
                     .expect("spawn scheduler worker"),
             );
         }
+        // Workers that already ran dry are parked with their sleeper bit
+        // set; nobody can wake them before the first `schedule`, which
+        // needs the value returned below.
+        pool.threads
+            .set(threads.iter().map(|h| h.thread().clone()).collect())
+            .expect("set once");
         Arc::new(WorkStealingScheduler {
             pool,
             threads: Mutex::new(threads),
-            workers,
         })
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// (attempted, successful) steal operations so far — scheduler
-    /// introspection for the benchmarks.
-    pub fn steal_stats(&self) -> (u64, u64) {
-        (
-            self.pool.steal_attempts.load(Ordering::Relaxed),
-            self.pool.steal_successes.load(Ordering::Relaxed),
-        )
     }
 }
 
-fn worker_loop(pool: Arc<Pool>, parker: Parker, worker: usize) {
+fn worker_loop(pool: Arc<Pool>, worker: usize) {
     LOCAL.with(|slot| slot.set(Some((pool.id, worker))));
-    let owned: Vec<usize> = (worker..pool.shards.len()).step_by(pool.workers).collect();
+    let epoch = &pool.shards[worker].epoch;
     let mut stalls: Vec<WorkerStall> = pool
         .stalls
         .iter()
@@ -394,7 +360,7 @@ fn worker_loop(pool: Arc<Pool>, parker: Parker, worker: usize) {
     let mut slices = 0u64;
     let bit = 1u64 << worker;
     'run: while !pool.shutdown.load(Ordering::Acquire) {
-        if let Some(component) = find_task(&pool, worker, &owned) {
+        if let Some(component) = find_task(&pool, worker) {
             run_slice(
                 &pool,
                 worker,
@@ -411,7 +377,7 @@ fn worker_loop(pool: Arc<Pool>, parker: Parker, worker: usize) {
             for _ in 0..SPINS_PER_RESCAN {
                 std::hint::spin_loop();
             }
-            if let Some(component) = find_task(&pool, worker, &owned) {
+            if let Some(component) = find_task(&pool, worker) {
                 run_slice(
                     &pool,
                     worker,
@@ -423,11 +389,10 @@ fn worker_loop(pool: Arc<Pool>, parker: Parker, worker: usize) {
                 continue 'run;
             }
         }
-        // Record the epoch-sum *before* the final scan: a cross push after
-        // this point bumps an owned epoch, which the pre-park re-check
-        // catches.
-        let observed = pool.epoch_sum(&owned);
-        if let Some(component) = find_task(&pool, worker, &owned) {
+        // Record the epoch *before* the final scan: a cross push after this
+        // point bumps it, which the pre-park re-check catches.
+        let observed = epoch.load(Ordering::SeqCst);
+        if let Some(component) = find_task(&pool, worker) {
             run_slice(
                 &pool,
                 worker,
@@ -442,14 +407,15 @@ fn worker_loop(pool: Arc<Pool>, parker: Parker, worker: usize) {
         // Re-check between announce and park (module docs give the
         // interleaving argument): any push since `observed` may have read
         // `sleepers` before our announcement, so we must not sleep.
-        if pool.shutdown.load(Ordering::Acquire) || pool.epoch_sum(&owned) != observed {
+        if pool.shutdown.load(Ordering::Acquire) || epoch.load(Ordering::SeqCst) != observed {
             pool.sleepers.fetch_and(!bit, Ordering::SeqCst);
             continue;
         }
         pool.parks.fetch_add(1, Ordering::Relaxed);
-        parker.park();
+        std::thread::park();
         // A producer that woke us cleared our bit; an unpark-all
-        // (shutdown) or helper wake race may not have — clear either way.
+        // (shutdown), a stale token or a spurious return did not — clear
+        // either way and rescan.
         pool.sleepers.fetch_and(!bit, Ordering::SeqCst);
     }
     LOCAL.with(|slot| slot.set(None));
@@ -465,27 +431,23 @@ fn run_slice(
     stalls: &[WorkerStall],
     next_stall: &mut usize,
 ) {
-    if pool.affinity {
-        // The hint is only ever touched by whoever holds the component's
-        // scheduling claim, which is this worker right now.
-        let hint = component.home_hint();
-        match hint.home() {
-            Some(home) if pool.owner_of(home) == worker => hint.record_home_run(),
-            Some(_) => {
-                if hint.record_steal() >= MIGRATE_STREAK {
-                    // Sustained imbalance: stop stealing this component
-                    // every slice and move it here for good.
-                    hint.set_home(pool.primary_shard(worker));
-                    pool.migrations.fetch_add(1, Ordering::Relaxed);
-                }
+    // The hint is only ever touched by whoever holds the component's
+    // scheduling claim, which is this worker right now.
+    let hint = component.home_hint();
+    match hint.home() {
+        Some(home) if home == worker => hint.record_home_run(),
+        Some(_) => {
+            if hint.record_steal() >= MIGRATE_STREAK {
+                // Sustained imbalance: stop stealing this component every
+                // slice and move it here for good.
+                hint.set_home(worker);
+                pool.migrations.fetch_add(1, Ordering::Relaxed);
             }
-            None => hint.set_home(pool.primary_shard(worker)),
         }
+        None => hint.set_home(worker),
     }
     *slices += 1;
-    pool.shards[pool.primary_shard(worker)]
-        .executed
-        .fetch_add(1, Ordering::Relaxed);
+    pool.shards[worker].executed.fetch_add(1, Ordering::Relaxed);
     if let Some(stall) = stalls.get(*next_stall) {
         if stall.after_slices == *slices {
             *next_stall += 1;
@@ -498,34 +460,33 @@ fn run_slice(
     }
 }
 
-fn find_task(pool: &Pool, worker: usize, owned: &[usize]) -> Option<Arc<ComponentCore>> {
-    // Own shards first: drain each inbound ring into the run queue in one
+fn find_task(pool: &Pool, worker: usize) -> Option<Arc<ComponentCore>> {
+    // Own shard first: drain the inbound ring into the run queue in one
     // sweep, then pop.
-    for &s in owned {
-        let shard = &pool.shards[s];
-        let mut queue = shard.queue.lock();
-        while let Some(component) = shard.inbound.pop() {
-            // komlint: allow(unbounded-queue-push) reason="run queue of ready components, not an event queue; bounded at one entry per component by the scheduled-flag claim"
-            queue.push_back(component);
-        }
-        if let Some(component) = queue.pop_front() {
-            drop(queue);
-            shard.depth.fetch_sub(1, Ordering::SeqCst);
-            return Some(component);
-        }
+    let shard = &pool.shards[worker];
+    let mut queue = shard.queue.lock();
+    while let Some(component) = shard.inbound.pop() {
+        // komlint: allow(unbounded-queue-push) reason="run queue of ready components, not an event queue; bounded at one entry per component by the scheduled-flag claim"
+        queue.push_back(component);
     }
+    if let Some(component) = queue.pop_front() {
+        drop(queue);
+        shard.depth.fetch_sub(1, Ordering::SeqCst);
+        return Some(component);
+    }
+    drop(queue);
     steal(pool, worker)
 }
 
 /// Last-resort stealing: probe victims in descending backlog order, grab up
 /// to `steal_batch` components in one lock acquisition, run the first and
-/// queue the rest on the thief's primary shard.
+/// queue the rest on the thief's own shard.
 fn steal(pool: &Pool, worker: usize) -> Option<Arc<ComponentCore>> {
     let mut victims: Vec<(usize, usize)> = pool
         .shards
         .iter()
         .enumerate()
-        .filter(|(s, shard)| pool.owner_of(*s) != worker && shard.depth.load(Ordering::SeqCst) > 0)
+        .filter(|(s, shard)| *s != worker && shard.depth.load(Ordering::SeqCst) > 0)
         .map(|(s, shard)| (shard.depth.load(Ordering::SeqCst), s))
         .collect();
     victims.sort_unstable_by(|a, b| b.cmp(a));
@@ -551,7 +512,7 @@ fn steal(pool: &Pool, worker: usize) -> Option<Arc<ComponentCore>> {
         let first = taken.remove(0);
         if !taken.is_empty() {
             let rest = taken.len();
-            let mine = &pool.shards[pool.primary_shard(worker)];
+            let mine = &pool.shards[worker];
             mine.depth.fetch_add(rest, Ordering::SeqCst);
             let mut queue = mine.queue.lock();
             queue.extend(taken);
@@ -572,8 +533,9 @@ impl Scheduler for WorkStealingScheduler {
 
     fn shutdown(&self) {
         self.pool.shutdown.store(true, Ordering::Release);
-        for unparker in &self.pool.unparkers {
-            unparker.unpark();
+        // Runs from `Drop` too, hence no `expect` on the handles.
+        for thread in self.pool.threads.get().into_iter().flatten() {
+            thread.unpark();
         }
         let handles: Vec<_> = self.threads.lock().drain(..).collect();
         let current = std::thread::current().id();
@@ -585,11 +547,7 @@ impl Scheduler for WorkStealingScheduler {
     }
 
     fn describe(&self) -> &'static str {
-        if self.pool.affinity {
-            "sharded work-stealing (affinity)"
-        } else {
-            "sharded work-stealing (no affinity)"
-        }
+        "sharded work-stealing (affinity)"
     }
 
     fn stats(&self) -> SchedulerStats {

@@ -34,7 +34,6 @@ pub struct SystemCore {
     /// Installed at most once by [`KompicsSystem::install_telemetry`];
     /// `None` means every instrumentation site is a single cheap
     /// `OnceLock::get` miss.
-    #[cfg(feature = "telemetry")]
     telemetry: std::sync::OnceLock<Arc<crate::telemetry::SystemTelemetry>>,
 }
 
@@ -87,12 +86,10 @@ impl SystemCore {
         self.roots.lock().retain(|c| c.id() != id);
     }
 
-    #[cfg(feature = "telemetry")]
     pub(crate) fn telemetry(&self) -> Option<&Arc<crate::telemetry::SystemTelemetry>> {
         self.telemetry.get()
     }
 
-    #[cfg(feature = "telemetry")]
     pub(crate) fn set_telemetry(&self, state: Arc<crate::telemetry::SystemTelemetry>) -> bool {
         self.telemetry.set(state).is_ok()
     }
@@ -169,7 +166,6 @@ impl KompicsSystem {
                 next_component: AtomicU64::new(1),
                 roots: Mutex::new(Vec::new()),
                 shut_down: AtomicBool::new(false),
-                #[cfg(feature = "telemetry")]
                 telemetry: std::sync::OnceLock::new(),
             }),
         }
@@ -188,7 +184,7 @@ impl KompicsSystem {
     /// Snapshot of the scheduler's counters (steals, parks, handoffs,
     /// migrations) — the same numbers the telemetry collector exports.
     /// Useful in tests asserting scheduling behaviour (e.g. bounded
-    /// park/unpark churn) without pulling in the telemetry feature.
+    /// park/unpark churn) without installing telemetry.
     pub fn scheduler_stats(&self) -> crate::sched::SchedulerStats {
         self.core.scheduler.stats()
     }
@@ -283,7 +279,6 @@ impl KompicsSystem {
     /// installation are automatically instrumented; install before
     /// assembling the component tree. Returns `false` if telemetry was
     /// already installed (the first installation wins).
-    #[cfg(feature = "telemetry")]
     pub fn install_telemetry(&self, spec: crate::telemetry::TelemetrySpec) -> bool {
         crate::telemetry::install(&self.core, spec)
     }

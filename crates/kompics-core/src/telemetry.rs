@@ -1,5 +1,4 @@
-//! Glue between the component runtime and the `kompics-telemetry` crate
-//! (compiled only with the `telemetry` cargo feature).
+//! Glue between the component runtime and the `kompics-telemetry` crate.
 //!
 //! Installing telemetry on a system ([`KompicsSystem::install_telemetry`])
 //! hands the runtime a metrics [`Registry`], an optional causal [`Tracer`]

@@ -1,6 +1,5 @@
-//! Integration tests for the `telemetry` feature: automatic per-component
+//! Integration tests for installed telemetry: automatic per-component
 //! instrumentation and causal tracing wired through the dispatch path.
-#![cfg(feature = "telemetry")]
 #![allow(dead_code)]
 
 use std::sync::Arc;

@@ -29,14 +29,14 @@
 //! See DESIGN.md §16 for the buffer lifecycle and batching rules.
 
 use std::collections::HashMap;
-use std::io::{IoSlice, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use kompics_core::event::{event_as, EventRef};
 use kompics_core::port::PortRef;
 use kompics_core::prelude::*;
@@ -112,7 +112,7 @@ struct Outgoing {
 /// Per-open-connection state kept in the connection table.
 #[derive(Clone)]
 struct Conn {
-    tx: Sender<Outgoing>,
+    tx: SyncSender<Outgoing>,
     /// Set on the first queue-full drop for this connection, so the warning
     /// fires once per connection (it resets naturally when the writer dies
     /// and a fresh entry replaces this one).
@@ -150,6 +150,10 @@ struct Shared {
     /// Socket-option calls (`set_nodelay`, `set_read_timeout`) that failed;
     /// each is also logged once for its connection.
     sockopt_errors: AtomicU64,
+    /// Inbound connections lost at the acceptor: `accept` failed for a
+    /// reason other than "nothing pending", or no reader thread could be
+    /// spawned for the accepted stream.
+    accept_errors: AtomicU64,
 }
 
 impl Shared {
@@ -171,6 +175,7 @@ impl Shared {
             flush_syscalls: AtomicU64::new(0),
             borrowed_decodes: AtomicU64::new(0),
             sockopt_errors: AtomicU64::new(0),
+            accept_errors: AtomicU64::new(0),
         }
     }
 
@@ -311,9 +316,17 @@ impl TcpNetwork {
         )
     }
 
+    /// Inbound connections lost at the acceptor so far (a failed `accept`
+    /// or a reader thread that could not be spawned); the listener keeps
+    /// accepting after each.
+    pub fn accept_errors(&self) -> u64 {
+        self.shared.accept_errors.load(Ordering::Relaxed)
+    }
+
     /// Registers scrape-time transport counters on `registry`:
     /// `kompics_tcp_{sent,received,outbound_dropped,read_pauses,
-    /// batched_frames,flush_syscalls,borrowed_decodes,sockopt_errors}_total`.
+    /// batched_frames,flush_syscalls,borrowed_decodes,sockopt_errors,
+    /// accept_errors}_total`.
     /// Call once after creating the component (e.g. next to
     /// `install_telemetry`).
     pub fn register_metrics(&self, registry: &kompics_telemetry::Registry) {
@@ -362,6 +375,11 @@ impl TcpNetwork {
                 "kompics_tcp_sockopt_errors_total",
                 &[],
                 shared.sockopt_errors.load(Ordering::Relaxed),
+            ));
+            out.push(Sample::counter(
+                "kompics_tcp_accept_errors_total",
+                &[],
+                shared.accept_errors.load(Ordering::Relaxed),
             ));
         });
     }
@@ -469,8 +487,9 @@ fn spawn_writer(
     destination: Address,
     port: PortRef<Network>,
     initial: Option<TcpStream>,
-) -> Sender<Outgoing> {
-    let (tx, rx) = bounded::<Outgoing>(shared.config.outbound_queue.max(1));
+) -> SyncSender<Outgoing> {
+    // Capacity 0 would make std's channel a rendezvous, i.e. a blocking send.
+    let (tx, rx) = sync_channel::<Outgoing>(shared.config.outbound_queue.max(1));
     std::thread::Builder::new()
         .name(format!("tcp-writer-{}", destination.port))
         .spawn(move || writer_loop(shared, destination, rx, port, initial))
@@ -683,11 +702,21 @@ fn flush_frames(stream: &mut TcpStream, frames: &[Outgoing], shared: &Shared) ->
                     }
                 }
             }
-            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(ref e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return Err(idx),
         }
     }
     Ok(())
+}
+
+/// Whether an `accept` error cost an inbound connection, as opposed to
+/// `WouldBlock` on the non-blocking listener (nothing pending). Everything
+/// else `accept(2)` reports — `ECONNABORTED`, `EMFILE`/`ENFILE`/`ENOBUFS`,
+/// `EINTR`, an error already pending on the new socket — is about *one*
+/// connection and can be provoked by a remote peer, so none of them may end
+/// the listener.
+fn is_lost_connection(kind: ErrorKind) -> bool {
+    kind != ErrorKind::WouldBlock
 }
 
 fn accept_loop(
@@ -697,22 +726,28 @@ fn accept_loop(
     self_addr: Address,
 ) {
     while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
+        let lost = match listener.accept() {
             Ok((stream, peer)) => {
                 configure_stream(&shared, &stream, &peer);
                 let shared = Arc::clone(&shared);
                 let port = port.clone();
-                std::thread::Builder::new()
+                let reader = std::thread::Builder::new()
                     .name(format!("tcp-reader-{}", self_addr.port))
-                    .spawn(move || reader_loop(stream, shared, port, self_addr))
-                    .expect("spawn reader");
+                    .spawn(move || reader_loop(stream, shared, port, self_addr));
+                if reader.is_ok() {
+                    continue;
+                }
+                // The closure owned the stream: it is closed, the peer
+                // redials.
+                true
             }
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // komlint: allow(blocking-sleep) reason="accept-poll backoff on the transport's dedicated acceptor thread"
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => return,
+            Err(err) => is_lost_connection(err.kind()),
+        };
+        if lost {
+            shared.accept_errors.fetch_add(1, Ordering::Relaxed);
         }
+        // komlint: allow(blocking-sleep) reason="accept-poll backoff on the transport's dedicated acceptor thread"
+        std::thread::sleep(Duration::from_millis(2));
     }
 }
 
@@ -755,10 +790,7 @@ fn reader_loop(
         match stream.read(buf.spare()) {
             Ok(0) => return,
             Ok(n) => buf.advance(n),
-            Err(ref e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+            Err(ref e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 continue;
             }
             Err(_) => return,
@@ -894,6 +926,67 @@ mod tests {
             );
         }
         assert_eq!(shared.sockopt_errors.load(Ordering::Relaxed), 0);
+    }
+
+    /// The `Disconnected` twin of the queue-full test. A writer only ends
+    /// at shutdown or by dying, so the dead route is planted: a table entry
+    /// whose receiver is gone. The send pays one DeadLetter, is not counted
+    /// as sent, and forgets the route so the next send dials afresh.
+    #[test]
+    fn send_to_a_dead_writer_dead_letters_once_and_forgets_the_route() {
+        let system = KompicsSystem::new(Config::default().workers(1));
+        let (addr, listener) = TcpNetwork::bind(Address::local(0, 1)).unwrap();
+        let mut registry = MessageRegistry::new();
+        registry.register::<Message>(1).unwrap();
+        let tcp = system.create(move || {
+            TcpNetwork::new(addr, listener, Arc::new(registry), TcpConfig::default())
+        });
+        let net = tcp.provided_ref::<Network>().unwrap();
+        let dead = Arc::new(Mutex::new(Vec::new()));
+        net.tap({
+            let dead = Arc::clone(&dead);
+            move |_, event| {
+                if let Some(letter) = event_as::<DeadLetter>(event.as_ref()) {
+                    dead.lock().push(letter.reason.clone());
+                }
+            }
+        });
+        system.start(&tcp);
+
+        let peer = Address::local(1, 2);
+        tcp.on_definition(|t| {
+            let (tx, _) = sync_channel(1);
+            let conn = Conn {
+                tx,
+                warned_full: Arc::new(AtomicBool::new(false)),
+            };
+            t.shared
+                .connections
+                .lock()
+                .insert((peer.ip, peer.port), conn);
+        })
+        .unwrap();
+        net.trigger(Message::new(addr, peer)).unwrap();
+        system.await_quiescence();
+
+        assert_eq!(*dead.lock(), ["connection writer terminated"]);
+        let (routes, sent) = tcp
+            .on_definition(|t| (t.shared.connections.lock().len(), t.message_stats().0))
+            .unwrap();
+        assert_eq!((routes, sent), (0, 0));
+        system.shutdown();
+    }
+
+    #[test]
+    fn only_would_block_is_not_a_lost_connection() {
+        for kind in [
+            ErrorKind::ConnectionAborted,
+            ErrorKind::Interrupted,
+            ErrorKind::Other,
+        ] {
+            assert!(is_lost_connection(kind), "{kind:?}");
+        }
+        assert!(!is_lost_connection(ErrorKind::WouldBlock));
     }
 
     #[test]

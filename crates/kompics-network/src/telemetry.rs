@@ -54,8 +54,7 @@ impl MetricsServer {
         // component code: the endpoint needs its own serving thread.
         let thread = std::thread::Builder::new()
             .name("kompics-metrics".to_string())
-            .spawn(move || accept_loop(listener, registry, stop_flag))
-            .expect("spawn metrics endpoint thread");
+            .spawn(move || accept_loop(listener, registry, stop_flag))?;
         Ok(MetricsServer {
             addr,
             stop,

@@ -312,6 +312,37 @@ fn full_outbound_queue_dead_letters_instead_of_growing_unbounded() {
     system.shutdown();
 }
 
+/// Connections that die around `accept` — here 50 opened and dropped at
+/// once, which the acceptor sees as resets, EOFs or `accept` errors
+/// depending on timing — are each one failed connection, never the end of
+/// the listener: a real peer still connects and delivers afterwards.
+#[test]
+fn listener_survives_connections_dropped_around_accept() {
+    let system = KompicsSystem::new(Config::default().workers(2));
+    let a = make_node(&system, 1, TcpConfig::default());
+    let b = make_node(&system, 2, TcpConfig::default());
+
+    for _ in 0..50 {
+        drop(std::net::TcpStream::connect(b.addr.socket_addr()).unwrap());
+    }
+    a.node
+        .on_definition(|n| {
+            n.net.trigger(Ping {
+                base: Message::new(n.addr, b.addr),
+                round: 3, // no reply
+            })
+        })
+        .unwrap();
+    assert!(wait_for(&b.count, 1, 5_000), "b still accepts and delivers");
+    assert_eq!(*b.pings.lock(), vec![3]);
+    let lost = b.tcp.on_definition(|t| t.accept_errors()).unwrap();
+    assert!(
+        lost <= 50,
+        "at most one count per dropped connection: {lost}"
+    );
+    system.shutdown();
+}
+
 #[test]
 fn many_messages_preserve_per_sender_fifo() {
     let system = KompicsSystem::new(Config::default().workers(2));

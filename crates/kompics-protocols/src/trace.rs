@@ -15,7 +15,7 @@
 //! Since the introduction of `kompics-telemetry`, the tap's primary output
 //! is a pair of registry counters (`kompics_net_tap_messages` by
 //! direction); causal per-event tracing is now the job of the runtime's own
-//! span tracer (`kompics-core` with the `telemetry` feature). The original
+//! span tracer (`kompics_core::telemetry`). The original
 //! `Vec`-of-records sink is kept as a thin compat layer for callers that
 //! want the full message log (tests, ad-hoc debugging).
 

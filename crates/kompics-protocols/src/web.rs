@@ -11,10 +11,10 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Sender};
 use kompics_core::port::PortRef;
 use kompics_core::prelude::*;
 use parking_lot::Mutex;
@@ -58,7 +58,7 @@ port_type! {
 // HTTP frontend component
 // ---------------------------------------------------------------------------
 
-type Pending = Arc<Mutex<HashMap<u64, Sender<(u16, String)>>>>;
+type Pending = Arc<Mutex<HashMap<u64, SyncSender<(u16, String)>>>>;
 
 /// Minimal HTTP frontend: accepts `GET` requests, triggers them as
 /// [`WebRequest`]s on its required [`Web`] port, and answers each socket
@@ -189,7 +189,7 @@ fn handle_http(
         .to_string();
 
     let id = NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed);
-    let (tx, rx) = bounded(1);
+    let (tx, rx) = sync_channel(1);
     pending.lock().insert(id, tx);
     let _ = web.trigger(WebRequest { id, path });
 

@@ -41,7 +41,6 @@ pub use dist::Dist;
 pub use emulator::{EmulatorConfig, LatencyModel, LinkFault, NetworkEmulator};
 pub use fault_plan::{FaultOp, FaultPlan, FaultTargets, InstalledFaultPlan};
 pub use scenario::{Scenario, StartRule, StochasticProcess};
-#[cfg(feature = "telemetry")]
 pub use sim::SimTelemetry;
 pub use sim::{SimClock, Simulation};
 pub use sim_timer::SimTimer;

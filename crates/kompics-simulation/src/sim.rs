@@ -41,12 +41,10 @@ impl Clock for SimClock {
 /// Trace-ring capacity (records per run) used by
 /// [`Simulation::install_telemetry`]. Bounded so a long simulation retains
 /// the most recent window instead of growing without limit.
-#[cfg(feature = "telemetry")]
 const SIM_TRACE_CAPACITY: usize = 65_536;
 
 /// Handles returned by [`Simulation::install_telemetry`]: everything needed
 /// to scrape metrics and read the causal trace of a simulated run.
-#[cfg(feature = "telemetry")]
 pub struct SimTelemetry {
     /// The registry the runtime (and any protocol components handed a
     /// clone) records into.
@@ -136,7 +134,6 @@ impl Simulation {
     /// Call **before** creating components (instrumentation attaches at
     /// component creation). Returns the handles to scrape; panics if
     /// telemetry was already installed on this system.
-    #[cfg(feature = "telemetry")]
     pub fn install_telemetry(&self) -> SimTelemetry {
         use kompics_core::telemetry::{time_source, TelemetrySpec};
         use kompics_telemetry::{Registry, RingSink, TraceSink, Tracer};

@@ -115,14 +115,12 @@ struct FloodOutcome {
     record: Vec<(&'static str, u64)>,
     data: LaneCounters,
     control: LaneCounters,
-    /// Prometheus export, when the telemetry feature is on.
-    #[allow(dead_code)]
-    metrics: Option<String>,
+    /// Prometheus export.
+    metrics: String,
 }
 
 fn run_flood(seed: u64, spec: MailboxSpec) -> FloodOutcome {
     let sim = Simulation::new(seed);
-    #[cfg(feature = "telemetry")]
     let telemetry = sim.install_telemetry();
     let producer = sim.system().create(Producer::new);
     let record: Record = Arc::new(Mutex::new(Vec::new()));
@@ -152,10 +150,7 @@ fn run_flood(seed: u64, spec: MailboxSpec) -> FloodOutcome {
         .unwrap();
     sim.settle();
 
-    #[cfg(feature = "telemetry")]
-    let metrics = Some(kompics_telemetry::prometheus_text(&telemetry.registry));
-    #[cfg(not(feature = "telemetry"))]
-    let metrics = None;
+    let metrics = kompics_telemetry::prometheus_text(&telemetry.registry);
 
     let record = record.lock().clone();
     FloodOutcome {
@@ -226,14 +221,10 @@ fn same_seed_floods_make_byte_identical_decisions() {
         assert_eq!(a.record, b.record, "identical execution order");
         assert_eq!(a.data, b.data, "identical lane counters");
         assert_eq!(a.control, b.control);
-        #[cfg(feature = "telemetry")]
-        {
-            let (ma, mb) = (a.metrics.unwrap(), b.metrics.unwrap());
-            assert_eq!(ma, mb, "byte-identical telemetry export");
-            assert!(ma.contains("kompics_mailbox_dropped_total"));
-            assert!(ma.contains("kompics_mailbox_depth"));
-            assert!(ma.contains("kompics_mailbox_pushback_total"));
-        }
+        assert_eq!(a.metrics, b.metrics, "byte-identical telemetry export");
+        assert!(a.metrics.contains("kompics_mailbox_dropped_total"));
+        assert!(a.metrics.contains("kompics_mailbox_depth"));
+        assert!(a.metrics.contains("kompics_mailbox_pushback_total"));
     }
 }
 

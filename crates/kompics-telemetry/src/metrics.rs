@@ -31,8 +31,8 @@ use std::sync::Arc;
 pub const MAX_SHARDS: usize = 64;
 
 /// A value padded out to its own cache line so neighbouring shards never
-/// false-share. (The vendored crossbeam shim has no `CachePadded`, so we
-/// roll our own; 64 bytes covers x86-64 and most aarch64 parts.)
+/// false-share. (No vendored crate has a `CachePadded`, so we roll our
+/// own; 64 bytes covers x86-64 and most aarch64 parts.)
 #[repr(align(64))]
 #[derive(Default)]
 struct Pad<T>(T);

@@ -132,10 +132,9 @@ impl ComponentDefinition for Sink {
 /// a 2-event execute slice (force rescheduling mid-backlog), and a planted
 /// stall on worker 0 early on (force helper wakes and steals away from a
 /// stalled owner).
-fn stressed_config(affinity: bool) -> Config {
+fn stressed_config() -> Config {
     Config::default().workers(4).throughput(2).scheduler(
         SchedulerSpec::default()
-            .affinity(affinity)
             .inbound_capacity(4)
             .steal_batch(4)
             .stall_at(0, 3, 2)
@@ -160,8 +159,8 @@ fn expected(bursts: &[u64]) -> Vec<u64> {
     out
 }
 
-fn run_threaded(bursts: &[u64], sinks: usize, affinity: bool) -> Vec<Vec<u64>> {
-    let system = KompicsSystem::new(stressed_config(affinity));
+fn run_threaded(bursts: &[u64], sinks: usize) -> Vec<Vec<u64>> {
+    let system = KompicsSystem::new(stressed_config());
     let fan = system.create(Fan::new);
     let records: Vec<Record> = (0..sinks).map(|_| Record::default()).collect();
     let sink_components: Vec<_> = records
@@ -236,23 +235,12 @@ proptest! {
     #[test]
     fn per_component_order_matches_oracle(bursts in schedules()) {
         let want = expected(&bursts);
-        let got = run_threaded(&bursts, 3, true);
+        let got = run_threaded(&bursts, 3);
         for (sink, record) in got.iter().enumerate() {
             prop_assert_eq!(record, &want, "sink {} diverged from oracle", sink);
         }
         let sequential = run_sequential(&bursts, 3);
         prop_assert_eq!(got, sequential, "threaded != sequential oracle");
-    }
-
-    /// Same property with affinity routing disabled (round-robin external
-    /// pushes, no home migration): the ablation baseline must be just as
-    /// correct, merely slower.
-    #[test]
-    fn per_component_order_holds_without_affinity(bursts in schedules()) {
-        let want = expected(&bursts);
-        for record in run_threaded(&bursts, 3, false) {
-            prop_assert_eq!(record, want.clone());
-        }
     }
 }
 
@@ -311,7 +299,7 @@ proptest! {
     /// executes control-FIFO strictly before data-FIFO.
     #[test]
     fn lane_discipline_survives_sharded_scheduler(lanes in proptest::collection::vec(any::<bool>(), 1..32)) {
-        let system = KompicsSystem::new(stressed_config(true));
+        let system = KompicsSystem::new(stressed_config());
         let record = Arc::new(Mutex::new(Vec::new()));
         let gate = Arc::new(AtomicBool::new(false));
         let sink = system.create({
@@ -349,7 +337,10 @@ proptest! {
 // (c) No lost wakeups: bounded park/unpark cycles
 // ---------------------------------------------------------------------------
 
-/// Counts arrivals; the external driver waits for each one.
+/// Counts arrivals; the external driver waits for each one. `Hold` makes
+/// the executing worker unpark *itself*, which leaves a stale token on
+/// that thread for its next `std::thread::park()` — what a handler
+/// blocking in a std channel can do by accident.
 struct Counter {
     ctx: ComponentContext,
     #[allow(dead_code)]
@@ -362,6 +353,9 @@ impl Counter {
         let grid: ProvidedPort<Grid> = ProvidedPort::new();
         grid.subscribe(|this: &mut Counter, _b: &Burst| {
             this.seen.fetch_add(1, Ordering::SeqCst);
+        });
+        grid.subscribe(|_this: &mut Counter, _h: &Hold| {
+            std::thread::current().unpark();
         });
         Counter {
             ctx: ComponentContext::new(),
@@ -385,15 +379,14 @@ impl ComponentDefinition for Counter {
 /// rounds — the "bounded park/unpark cycles" half of the no-lost-wakeup
 /// invariant (the prompt completion is the "no lost" half: an untimed park
 /// that misses a wakeup would hang the round forever, not just slowly).
-#[test]
-fn wakeup_rounds_complete_with_bounded_parks() {
+///
+/// `planted_tokens` stale park tokens are left on the workers first: each
+/// may make one `park()` return early (one extra park in the count), and
+/// none may lose or delay a round.
+fn wakeup_rounds_complete_with_bounded_parks(planted_tokens: usize) {
     const ROUNDS: usize = 200;
     let workers = 2;
-    let system = KompicsSystem::new(
-        Config::default()
-            .workers(workers)
-            .scheduler(SchedulerSpec::default().affinity(true)),
-    );
+    let system = KompicsSystem::new(Config::default().workers(workers));
     let seen = Arc::new(AtomicUsize::new(0));
     let counter = system.create({
         let seen = seen.clone();
@@ -402,9 +395,12 @@ fn wakeup_rounds_complete_with_bounded_parks() {
     system.start(&counter);
     system.await_quiescence();
     let provided = counter.provided_ref::<Grid>().unwrap();
+    for _ in 0..planted_tokens {
+        provided.trigger(Hold).unwrap();
+        system.await_quiescence();
+    }
 
-    let scheduler = system.scheduler_stats();
-    let parks_before = scheduler.parks;
+    let parks_before = system.scheduler_stats().parks;
     for round in 0..ROUNDS {
         // Give the pool a moment to go fully idle so most rounds start
         // against parked workers (the interesting case).
@@ -427,11 +423,23 @@ fn wakeup_rounds_complete_with_bounded_parks() {
     // Each round can park each worker at most a couple of times (wake,
     // drain, re-park; helper wakes included). Anything superlinear means
     // park/unpark churn or timed-poll parking snuck back in.
-    let bound = (parks_before as usize) + ROUNDS * workers * 2 + workers * 4;
+    let bound = (parks_before as usize) + ROUNDS * workers * 2 + workers * 4 + planted_tokens;
     assert!(
         (parks_after as usize) <= bound,
         "park churn: {parks_after} parks after {ROUNDS} rounds (bound {bound})"
     );
+}
+
+#[test]
+fn wakeup_rounds_bounded_parks() {
+    wakeup_rounds_complete_with_bounded_parks(0);
+}
+
+/// std's park token is per thread, not per scheduler: a token planted by a
+/// handler is absorbed by one early return from `park()`.
+#[test]
+fn wakeup_rounds_bounded_parks_with_stale_park_tokens() {
+    wakeup_rounds_complete_with_bounded_parks(3);
 }
 
 /// A planted stall on the home worker must not strand its backlog: helper
@@ -443,7 +451,6 @@ fn stalled_home_worker_does_not_strand_backlog() {
     let system = KompicsSystem::new(
         Config::default().workers(4).throughput(1).scheduler(
             SchedulerSpec::default()
-                .affinity(true)
                 // Stall every worker early and hard; the backlog must
                 // still drain through whoever wakes first.
                 .stall_at(0, 2, 20)
@@ -485,12 +492,7 @@ fn spec_dsl_fanout_order_in_both_modes() {
             t.expect(grid.out_where::<Data>("Data in trigger order", move |d| d.0 == i));
         }
     };
-    let mut t = TestContext::threaded_with(
-        Config::default()
-            .workers(8)
-            .scheduler(SchedulerSpec::default().affinity(true)),
-        Fan::new,
-    );
+    let mut t = TestContext::threaded_with(Config::default().workers(8), Fan::new);
     spec(&mut t);
     t.check().unwrap();
 

@@ -11,9 +11,9 @@
 //! * [`simulation`] — deterministic simulation and the scenario DSL;
 //! * [`testing`] — the event-stream unit-testing DSL for components;
 //! * [`protocols`] — failure detector, bootstrap, Cyclon, monitoring, web;
-//! * [`telemetry`] — metrics registry, causal tracing, exporters (enable
-//!   the `telemetry` cargo feature to also turn on the runtime's automatic
-//!   per-component instrumentation);
+//! * [`telemetry`] — metrics registry, causal tracing, exporters (call
+//!   `install_telemetry` on a system or simulation to also turn on the
+//!   runtime's automatic per-component instrumentation);
 //! * [`cats`] — the CATS key-value store case study.
 //!
 //! For a guided tour start at [`core`] and the repository's `examples/`.

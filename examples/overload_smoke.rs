@@ -13,15 +13,14 @@
 //! 3. **Flat memory**: lane depth returns to 0 after every round and the
 //!    admitted backlog never exceeds capacity.
 //! 4. **Determinism**: two same-seed runs produce identical execution
-//!    fingerprints (and, with `--features telemetry`, byte-identical
-//!    Prometheus exports of the `kompics_mailbox_*` series).
+//!    fingerprints and byte-identical Prometheus exports of the
+//!    `kompics_mailbox_*` series.
 //!
 //! Any violation prints a diagnostic and exits non-zero; that is what CI
 //! runs (see the overload-smoke job in `.github/workflows/ci.yml`).
 //!
 //! ```bash
 //! cargo run --release --example overload_smoke
-//! cargo run --release --example overload_smoke --features telemetry
 //! ```
 
 use std::sync::Arc;
@@ -150,12 +149,11 @@ struct RunOutcome {
     fingerprint: u64,
     max_round_backlog: u64,
     executed_data: u64,
-    metrics: Option<String>,
+    metrics: String,
 }
 
 fn run(seed: u64, policy: OverloadPolicy) -> RunOutcome {
     let sim = Simulation::new(seed);
-    #[cfg(feature = "telemetry")]
     let telemetry = sim.install_telemetry();
     let producer = sim.system().create(Producer::new);
     let record: Record = Arc::new(Mutex::new(Vec::new()));
@@ -217,10 +215,7 @@ fn run(seed: u64, policy: OverloadPolicy) -> RunOutcome {
         }
     }
 
-    #[cfg(feature = "telemetry")]
-    let metrics = Some(kompics::telemetry::prometheus_text(&telemetry.registry));
-    #[cfg(not(feature = "telemetry"))]
-    let metrics = None;
+    let metrics = kompics::telemetry::prometheus_text(&telemetry.registry);
 
     RunOutcome {
         control_delays,
@@ -320,26 +315,25 @@ fn main() {
                 a.fingerprint, b.fingerprint
             ));
         }
-        if let (Some(ma), Some(mb)) = (&a.metrics, &b.metrics) {
-            if ma != mb {
-                violations.push(format!("[{label}] telemetry exports not byte-identical"));
+        if a.metrics != b.metrics {
+            violations.push(format!("[{label}] telemetry exports not byte-identical"));
+        }
+        for series in [
+            "kompics_mailbox_depth",
+            "kompics_mailbox_enqueued_total",
+            "kompics_mailbox_dropped_total",
+            "kompics_mailbox_pushback_total",
+        ] {
+            if !a.metrics.contains(series) {
+                violations.push(format!("[{label}] metrics export missing {series}"));
             }
-            for series in [
-                "kompics_mailbox_depth",
-                "kompics_mailbox_enqueued_total",
-                "kompics_mailbox_dropped_total",
-                "kompics_mailbox_pushback_total",
-            ] {
-                if !ma.contains(series) {
-                    violations.push(format!("[{label}] metrics export missing {series}"));
-                }
-            }
-            for line in ma
-                .lines()
-                .filter(|l| l.contains("kompics_mailbox") && !l.starts_with('#'))
-            {
-                println!("    {line}");
-            }
+        }
+        for line in a
+            .metrics
+            .lines()
+            .filter(|l| l.contains("kompics_mailbox") && !l.starts_with('#'))
+        {
+            println!("    {line}");
         }
     }
 

@@ -5,10 +5,10 @@
 //! operations.
 
 use std::collections::HashMap;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Sender};
 use kompics::cats::abd::{
     AbdConfig, GetRequest, GetResponse, OpFailed, PutGet, PutRequest, PutResponse,
 };
@@ -61,7 +61,7 @@ fn fast_config() -> CatsConfig {
     }
 }
 
-type Pending = Arc<Mutex<HashMap<u64, Sender<Option<Vec<u8>>>>>>;
+type Pending = Arc<Mutex<HashMap<u64, SyncSender<Option<Vec<u8>>>>>>;
 
 /// Test client collecting responses from all nodes.
 struct Client {
@@ -181,7 +181,7 @@ fn cats_over_real_tcp_serves_linearizable_ops() {
     let mut run_op = |node: &DeployedNode, op: &str, key: u64, value: Option<Vec<u8>>| {
         let id = op_id;
         op_id += 1;
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         pending.lock().insert(id, tx);
         match op {
             "put" => node
