@@ -10,7 +10,8 @@
 //!   execution mode of the paper's §4.3);
 //! * [`TcpNetwork`](tcp::TcpNetwork) — a real transport over `std::net` TCP
 //!   with length-prefixed framing, automatic connection management and
-//!   optional payload compression (substituting for the paper's pluggable
+//!   optional payload compression, driven by one `poll(2)` readiness loop
+//!   per transport, hence Unix-only (substituting for the paper's pluggable
 //!   Grizzly/Netty/MINA NIO frameworks, see DESIGN.md §4);
 //! * [`UdpNetwork`](udp::UdpNetwork) — a second real transport with
 //!   best-effort datagram semantics, demonstrating the same pluggability
@@ -28,10 +29,15 @@
 pub mod address;
 pub mod error;
 mod frame;
+#[cfg(unix)]
+mod io_loop;
 pub mod local;
 pub mod net;
+#[cfg(unix)]
+mod poll;
 mod recv_buf;
 pub mod registry;
+#[cfg(unix)]
 pub mod tcp;
 pub mod telemetry;
 pub mod udp;
@@ -41,5 +47,6 @@ pub use error::NetworkError;
 pub use local::LocalNetwork;
 pub use net::{DeadLetter, Message, Network};
 pub use registry::MessageRegistry;
+#[cfg(unix)]
 pub use tcp::{TcpConfig, TcpNetwork};
 pub use udp::UdpNetwork;

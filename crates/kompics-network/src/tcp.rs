@@ -1,39 +1,51 @@
 //! Real TCP transport over `std::net`.
 //!
 //! Substitutes for the paper's pluggable Java NIO frameworks (Grizzly /
-//! Netty / MINA — see DESIGN.md §4): a `TcpNetwork` component provides the
+//! Netty / MINA — see DESIGN.md §4) and has their shape: non-blocking
+//! sockets and one readiness loop. A `TcpNetwork` component provides the
 //! same [`Network`] port as every other transport and implements
 //!
-//! * automatic connection management — connections are opened on first send
-//!   to an endpoint, kept in a table, re-established on failure;
-//! * **connection multiplexing** — connections are full duplex: a dialing
-//!   writer announces its canonical listen address in a `HELLO` frame, so
-//!   the accepting side routes replies back over the *same* socket instead
-//!   of dialing a second connection (one writer/reader pair per peer,
-//!   shared by every local component);
+//! * automatic connection management — a route is dialed on first send to
+//!   an endpoint (by a transient `tcp-dial` thread, the one blocking step),
+//!   kept in a table, re-dialed once when a write fails;
+//! * **connection multiplexing** — connections are full duplex: a dialer
+//!   announces its canonical listen address in a `HELLO` frame, so the
+//!   accepting side routes replies back over the *same* socket instead of
+//!   dialing a second connection (one socket per peer, shared by every
+//!   local component);
 //! * message serialization via the [`MessageRegistry`] and the
 //!   `kompics-codec` wire format, encoded **once** directly into a pooled
 //!   frame buffer (no intermediate `Vec`s, length prefix written in place);
-//! * **batched vectored writes** — the writer thread drains its outbound
-//!   queue into multi-frame `write_vectored` flushes (bounded by
-//!   [`MAX_BATCH_FRAMES`] / [`MAX_BATCH_BYTES`]), so small events share
-//!   syscalls;
-//! * **zero-copy decode** — the reader hands out complete frames as views
-//!   of its receive buffer (`crate::recv_buf`) and decodes through
+//! * **one flush per slice, on the sender's own worker** — `send` only
+//!   encodes and appends to the route's bounded outbound queue; the
+//!   component posts itself one `Flush` event that queues *behind* the
+//!   `Message`s already in its mailbox, and the `Flush` handler writes each
+//!   touched route's queue with multi-frame `write_vectored` calls (bounded
+//!   by [`MAX_BATCH_FRAMES`] / [`MAX_BATCH_BYTES`]). An idle transport
+//!   therefore writes one frame in the slice that sent it, with no thread
+//!   hand-off; a busy one writes a slice's worth of frames per syscall.
+//!   Sockets are non-blocking, so a worker never waits for a peer: what the
+//!   kernel does not take stays queued and the I/O loop finishes the job
+//!   when the socket is writable again;
+//! * **one I/O thread per transport** (`crate::io_loop`) — accepts, reads
+//!   every connection, and drains the queues that hit `WouldBlock`. There
+//!   are no per-peer threads, no timeouts and no polling sleeps;
+//! * **zero-copy decode** — complete frames are handed out as views of the
+//!   connection's receive buffer (`crate::recv_buf`) and decoded through
 //!   [`MessageRegistry::decode_shared`], so `bytes::Bytes` fields of
 //!   handler-visible events reference the receive buffer directly; the
 //!   buffer is read into again as soon as no event borrows it;
 //! * payload compression above a size threshold (the Zlib substitute) and
 //!   length-prefixed framing, both owned by [`crate::frame`].
 //!
-//! See DESIGN.md §16 for the buffer lifecycle and batching rules.
+//! See DESIGN.md §16 for the buffer lifecycle, who writes when, and the
+//! I/O loop's state machine and lock order.
 
-use std::collections::HashMap;
-use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::collections::{HashMap, VecDeque};
+use std::io::{ErrorKind, IoSlice, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -45,8 +57,8 @@ use parking_lot::Mutex;
 use crate::address::Address;
 use crate::error::NetworkError;
 use crate::frame;
+use crate::io_loop::{self, Waker};
 use crate::net::{DeadLetter, Message, Network};
-use crate::recv_buf::RecvBuf;
 use crate::registry::MessageRegistry;
 
 /// Encode buffers retained for reuse per transport instance.
@@ -54,19 +66,16 @@ const BUF_POOL_CAP: usize = 64;
 /// Encode buffers larger than this are dropped instead of pooled, so one
 /// huge frame does not pin megabytes of idle capacity.
 const BUF_POOL_MAX_CAPACITY: usize = 4 * 1024 * 1024;
-/// Most frames a writer coalesces into one vectored flush.
+/// Most frames one vectored write carries.
 const MAX_BATCH_FRAMES: usize = 64;
-/// Byte budget for one vectored flush; a batch stops growing once the
-/// already-collected frames reach it (a single oversized frame still
-/// flushes alone).
+/// Byte budget for one vectored write; a batch stops growing once the
+/// already-collected frames reach it (a single oversized frame still goes
+/// out alone).
 const MAX_BATCH_BYTES: usize = 256 * 1024;
 /// Fraction of the reconnection backoff randomized away (the actual delay
 /// is 75–100% of the nominal one), de-synchronizing reconnection storms
-/// across writers.
+/// across dialers.
 const CONNECT_JITTER: f64 = 0.25;
-/// How long a reader thread leaves the socket unread after a delivery
-/// reported mailbox pushback (see `handle_frame`).
-const READ_PAUSE: Duration = Duration::from_millis(1);
 
 /// Connection-management settings: the four values the fault-path tests
 /// vary. Everything else about the wire path is a constant next to the code
@@ -83,10 +92,11 @@ pub struct TcpConfig {
     /// Upper bound on the backoff delay between connection attempts.
     /// Default: 2 s.
     pub connect_backoff_cap: Duration,
-    /// Capacity of each per-connection outbound queue. When a slow or dead
-    /// peer lets the queue fill up, further sends fail fast as
-    /// [`DeadLetter`]s instead of growing the heap without bound.
-    /// Default: 1024 messages.
+    /// Capacity of each per-route outbound queue, and the bound is exact:
+    /// a route never holds more than this many messages the kernel has not
+    /// taken, whether it is still dialing or its peer has stopped reading.
+    /// Further sends fail fast as [`DeadLetter`]s instead of growing the
+    /// heap. Default: 1024 messages.
     pub outbound_queue: usize,
 }
 
@@ -101,69 +111,158 @@ impl Default for TcpConfig {
     }
 }
 
+/// The transport's private self-addressed event: "write out what this slice
+/// queued". It travels the data lane, so it runs after every `Message` that
+/// was already in the mailbox when it was posted — that ordering is the
+/// batching (see DESIGN.md §16.2).
+mod flush {
+    use kompics_core::{impl_event, port_type};
+
+    #[derive(Debug, Clone)]
+    pub struct Flush;
+    impl_event!(Flush);
+
+    port_type! {
+        /// Carries [`Flush`] from the component to itself.
+        pub struct FlushPort {
+            indication: ;
+            request: Flush;
+        }
+    }
+}
+use flush::{Flush, FlushPort};
+
 struct Outgoing {
     header: Message,
     /// The complete encoded frame (`[len][flags][tag][body]`). Refcounted:
-    /// after a flush the writer reclaims the allocation into the encode
-    /// pool if it holds the last reference.
+    /// once written, the allocation returns to the encode pool if the
+    /// queue held the last reference.
     frame: Bytes,
 }
 
-/// Per-open-connection state kept in the connection table.
-#[derive(Clone)]
-struct Conn {
-    tx: SyncSender<Outgoing>,
-    /// Set on the first queue-full drop for this connection, so the warning
-    /// fires once per connection (it resets naturally when the writer dies
-    /// and a fresh entry replaces this one).
-    warned_full: Arc<AtomicBool>,
+/// Where a route's frames can go right now.
+enum Link {
+    /// No socket and no dial in flight; the next send dials.
+    Idle,
+    /// A `tcp-dial` thread is connecting; frames wait in the queue.
+    Connecting,
+    /// Established and non-blocking. The I/O loop reads the same socket.
+    Open(Arc<TcpStream>),
 }
 
-/// (ip, port) key -> writer-thread handle for an open connection.
-type ConnectionMap = HashMap<([u8; 4], u16), Conn>;
+/// One route: the outbound half of the connection to one peer endpoint.
+pub(crate) struct Conn {
+    /// The endpoint the route leads to (the peer's listen address).
+    peer: Address,
+    out: Mutex<Out>,
+    /// The socket refused bytes, so the I/O loop owns writing `out` until it
+    /// is empty; a worker's `Flush` leaves the route alone meanwhile. Only
+    /// changed under the `out` lock; the loop reads it without the lock to
+    /// decide its `POLLOUT` interest.
+    want_write: AtomicBool,
+}
 
-struct Shared {
-    registry: Arc<MessageRegistry>,
+struct Out {
+    link: Link,
+    /// At most [`TcpConfig::outbound_queue`] frames, oldest first.
+    frames: VecDeque<Outgoing>,
+    /// Bytes of `frames[0]` the kernel already has.
+    head_written: usize,
+    /// The link failed with frames queued and was re-dialed for them; a
+    /// second failure before any of them is written gives them up.
+    redialed: bool,
+    /// The queue-full warning fired for this route.
+    warned_full: bool,
+}
+
+impl Conn {
+    fn new(peer: Address, link: Link) -> Arc<Self> {
+        Arc::new(Conn {
+            peer,
+            out: Mutex::new(Out {
+                link,
+                frames: VecDeque::new(),
+                head_written: 0,
+                redialed: false,
+                warned_full: false,
+            }),
+            want_write: AtomicBool::new(false),
+        })
+    }
+
+    /// Whether the I/O loop should watch the route's socket for `POLLOUT`.
+    pub(crate) fn wants_write(&self) -> bool {
+        self.want_write.load(Ordering::SeqCst)
+    }
+}
+
+/// (ip, port) key -> the route to that endpoint. Entries are never removed
+/// while the transport lives: a route whose peer is gone sits `Idle` and
+/// empty until the next send.
+type ConnectionMap = HashMap<([u8; 4], u16), Arc<Conn>>;
+
+pub(crate) struct Shared {
+    pub(crate) registry: Arc<MessageRegistry>,
     config: TcpConfig,
-    self_addr: Address,
+    pub(crate) self_addr: Address,
+    /// The inside half of the component's `Network` port: where the I/O
+    /// loop delivers and where every thread reports [`DeadLetter`]s.
+    pub(crate) port: PortRef<Network>,
+    /// Lock order: this lock is taken only to look a route up or insert
+    /// one, never across I/O; a route's `out` lock may be taken under it,
+    /// never the other way round. `out` is held across `write_vectored`
+    /// and released before any `trigger`.
     connections: Mutex<ConnectionMap>,
     /// Reusable encode buffers; see [`Shared::take_buf`]/[`Shared::recycle`].
     buf_pool: Mutex<Vec<Vec<u8>>>,
-    shutdown: AtomicBool,
+    /// Freshly dialed sockets on their way to the I/O loop, which reads
+    /// them from then on.
+    pub(crate) dialed: Mutex<Vec<(Arc<TcpStream>, Arc<Conn>)>>,
+    /// Set when the I/O loop starts.
+    pub(crate) waker: OnceLock<Waker>,
+    pub(crate) shutdown: AtomicBool,
     sent: AtomicU64,
-    received: AtomicU64,
+    pub(crate) received: AtomicU64,
     bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    /// Messages shed to [`DeadLetter`]s because a per-connection outbound
-    /// queue was full.
+    pub(crate) bytes_received: AtomicU64,
+    /// Messages shed to [`DeadLetter`]s because a route's outbound queue
+    /// was full.
     outbound_dropped: AtomicU64,
-    /// Times a reader thread paused because a destination mailbox signalled
-    /// pushback.
-    read_pauses: AtomicU64,
-    /// Frames written as part of a multi-frame vectored flush.
+    /// Times the I/O loop stopped reading a connection because a
+    /// destination mailbox signalled pushback.
+    pub(crate) read_pauses: AtomicU64,
+    /// Frames written as part of a multi-frame vectored write.
     batched_frames: AtomicU64,
-    /// Vectored write syscalls issued by writer threads.
+    /// Vectored write syscalls that wrote something.
     flush_syscalls: AtomicU64,
     /// Decodes that produced at least one zero-copy `Bytes` view of the
     /// receive buffer.
-    borrowed_decodes: AtomicU64,
-    /// Socket-option calls (`set_nodelay`, `set_read_timeout`) that failed;
-    /// each is also logged once for its connection.
+    pub(crate) borrowed_decodes: AtomicU64,
+    /// Socket-option calls (`set_nodelay`) that failed; each is also logged
+    /// once for its connection.
     sockopt_errors: AtomicU64,
     /// Inbound connections lost at the acceptor: `accept` failed for a
-    /// reason other than "nothing pending", or no reader thread could be
-    /// spawned for the accepted stream.
-    accept_errors: AtomicU64,
+    /// reason other than "nothing pending", or the accepted stream could
+    /// not be made non-blocking.
+    pub(crate) accept_errors: AtomicU64,
 }
 
 impl Shared {
-    fn new(registry: Arc<MessageRegistry>, config: TcpConfig, self_addr: Address) -> Self {
+    fn new(
+        registry: Arc<MessageRegistry>,
+        config: TcpConfig,
+        self_addr: Address,
+        port: PortRef<Network>,
+    ) -> Self {
         Shared {
             registry,
             config,
             self_addr,
+            port,
             connections: Mutex::new(HashMap::new()),
             buf_pool: Mutex::new(Vec::new()),
+            dialed: Mutex::new(Vec::new()),
+            waker: OnceLock::new(),
             shutdown: AtomicBool::new(false),
             sent: AtomicU64::new(0),
             received: AtomicU64::new(0),
@@ -195,7 +294,7 @@ impl Shared {
         }
     }
 
-    /// Returns a spent frame's allocation to the pool if the writer held
+    /// Returns a spent frame's allocation to the pool if the queue held
     /// the last reference to it.
     fn recycle_frame(&self, frame: Bytes) {
         if let Ok(buf) = frame.try_reclaim() {
@@ -212,16 +311,28 @@ impl Shared {
              (see kompics_tcp_sockopt_errors_total)"
         );
     }
+
+    fn wake_loop(&self) {
+        if let Some(waker) = self.waker.get() {
+            waker.wake();
+        }
+    }
 }
 
 /// The TCP transport component. See the module documentation.
 pub struct TcpNetwork {
     ctx: ComponentContext,
     net: ProvidedPort<Network>,
+    /// Self-addressed; see [`flush`].
+    flush: ProvidedPort<FlushPort>,
     self_addr: Address,
     listener: Option<TcpListener>,
     shared: Arc<Shared>,
-    listener_thread: Option<std::thread::JoinHandle<()>>,
+    io_thread: Option<std::thread::JoinHandle<()>>,
+    /// Open routes that took frames since the last `Flush`.
+    dirty: Vec<Arc<Conn>>,
+    /// A `Flush` is in the mailbox.
+    flush_posted: bool,
 }
 
 impl TcpNetwork {
@@ -251,25 +362,35 @@ impl TcpNetwork {
         config: TcpConfig,
     ) -> Self {
         let net: ProvidedPort<Network> = ProvidedPort::new();
-        let shared = Arc::new(Shared::new(registry, config, self_addr));
+        let flush: ProvidedPort<FlushPort> = ProvidedPort::new();
+        let shared = Arc::new(Shared::new(registry, config, self_addr, net.inside_ref()));
 
         net.subscribe_shared::<TcpNetwork, Message, _>(
             |this: &mut TcpNetwork, event: &EventRef| {
                 this.send(event);
             },
         );
+        flush.subscribe(|this: &mut TcpNetwork, _: &Flush| {
+            this.flush_posted = false;
+            for conn in this.dirty.drain(..) {
+                flush_route(&this.shared, &conn, false);
+            }
+        });
         let ctx = ComponentContext::new();
         ctx.subscribe_control(|this: &mut TcpNetwork, _s: &Start| {
-            this.ensure_listener();
+            this.ensure_io_loop();
         });
 
         TcpNetwork {
             ctx,
             net,
+            flush,
             self_addr,
             listener: Some(listener),
             shared,
-            listener_thread: None,
+            io_thread: None,
+            dirty: Vec::new(),
+            flush_posted: false,
         }
     }
 
@@ -295,9 +416,9 @@ impl TcpNetwork {
         )
     }
 
-    /// (outbound messages dropped because a per-connection queue was full,
-    /// reader pauses taken because a destination mailbox signalled
-    /// pushback) so far.
+    /// (outbound messages dropped because a route's queue was full, read
+    /// pauses taken because a destination mailbox signalled pushback) so
+    /// far.
     pub fn overload_stats(&self) -> (u64, u64) {
         (
             self.shared.outbound_dropped.load(Ordering::Relaxed),
@@ -305,7 +426,7 @@ impl TcpNetwork {
         )
     }
 
-    /// Wire-path counters: (frames written in multi-frame vectored flushes,
+    /// Wire-path counters: (frames written in multi-frame vectored writes,
     /// vectored write syscalls, decodes that borrowed zero-copy views of
     /// the receive buffer) so far.
     pub fn wire_stats(&self) -> (u64, u64, u64) {
@@ -316,9 +437,9 @@ impl TcpNetwork {
         )
     }
 
-    /// Inbound connections lost at the acceptor so far (a failed `accept`
-    /// or a reader thread that could not be spawned); the listener keeps
-    /// accepting after each.
+    /// Inbound connections lost at the acceptor so far (a failed `accept`,
+    /// or an accepted stream that could not be made non-blocking); the
+    /// listener keeps accepting after each.
     pub fn accept_errors(&self) -> u64 {
         self.shared.accept_errors.load(Ordering::Relaxed)
     }
@@ -389,7 +510,7 @@ impl TcpNetwork {
             return;
         };
         // Encode once, directly into a pooled buffer; the frame is refcounted
-        // so the writer can reclaim the allocation after flushing.
+        // so the allocation can be reclaimed once it is written.
         let mut buf = self.shared.take_buf();
         if let Err(err) = frame::encode_frame(&self.shared.registry, event.as_ref(), &mut buf) {
             self.shared.recycle(buf);
@@ -400,108 +521,280 @@ impl TcpNetwork {
             return;
         }
         let frame = Bytes::from(buf);
-        let endpoint = (header.destination.ip, header.destination.port);
-        let conn = {
-            let mut table = self.shared.connections.lock();
-            table
-                .entry(endpoint)
-                .or_insert_with(|| Conn {
-                    tx: spawn_writer(
-                        Arc::clone(&self.shared),
-                        header.destination,
-                        self.net.inside_ref(),
-                        None,
-                    ),
-                    warned_full: Arc::new(AtomicBool::new(false)),
-                })
-                .clone()
-        };
         let frame_len = frame.len() as u64;
-        match conn.tx.try_send(Outgoing { header, frame }) {
-            // Count only what the writer accepted: a shed message is a
-            // drop, not a send.
-            Ok(()) => {
-                self.shared.sent.fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .bytes_sent
-                    .fetch_add(frame_len, Ordering::Relaxed);
+        let endpoint = (header.destination.ip, header.destination.port);
+        let conn = Arc::clone(
+            self.shared
+                .connections
+                .lock()
+                .entry(endpoint)
+                .or_insert_with(|| Conn::new(header.destination, Link::Idle)),
+        );
+        // Capacity 0 would refuse everything.
+        let capacity = self.shared.config.outbound_queue.max(1);
+        let mut out = conn.out.lock();
+        if out.frames.len() >= capacity {
+            let first = !std::mem::replace(&mut out.warned_full, true);
+            drop(out);
+            self.shed(header, frame, first);
+            return;
+        }
+        out.frames.push_back(Outgoing { header, frame });
+        let next = match out.link {
+            Link::Idle => {
+                out.link = Link::Connecting;
+                AfterSend::Dial
             }
-            Err(TrySendError::Full(outgoing)) => {
-                // Back-pressure: the peer is slow or unreachable and the
-                // bounded queue is full. Fail the send fast; the writer (and
-                // its queue) stay up. Shedding must stay observable: count
-                // every drop, warn once per connection.
-                self.shared.recycle_frame(outgoing.frame);
-                self.shared.outbound_dropped.fetch_add(1, Ordering::Relaxed);
-                if !conn.warned_full.swap(true, Ordering::Relaxed) {
-                    eprintln!(
-                        "kompics-network: outbound queue full ({} messages) for {}; \
-                         shedding to DeadLetters (warning once per connection, see \
-                         kompics_tcp_outbound_dropped_total)",
-                        self.shared.config.outbound_queue, header.destination
-                    );
-                }
-                self.net.trigger(DeadLetter {
-                    message: header,
-                    reason: format!(
-                        "outbound queue full ({} messages) for {}",
-                        self.shared.config.outbound_queue, header.destination
-                    ),
-                });
-            }
-            Err(TrySendError::Disconnected(outgoing)) => {
-                // Writer died; drop it so the next send reconnects.
-                self.shared.recycle_frame(outgoing.frame);
-                self.shared.connections.lock().remove(&endpoint);
-                self.net.trigger(DeadLetter {
-                    message: header,
-                    reason: "connection writer terminated".into(),
-                });
-            }
+            // The dialer, or the I/O loop, writes the queue.
+            Link::Connecting => AfterSend::Nothing,
+            Link::Open(_) if conn.wants_write() => AfterSend::Nothing,
+            Link::Open(_) => AfterSend::Flush,
+        };
+        drop(out);
+        // Count only what a queue accepted: a shed message is a drop, not a
+        // send.
+        self.shared.sent.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .bytes_sent
+            .fetch_add(frame_len, Ordering::Relaxed);
+        match next {
+            AfterSend::Dial => spawn_dial(&self.shared, conn),
+            AfterSend::Flush => self.flush_later(conn),
+            AfterSend::Nothing => {}
         }
     }
 
-    fn ensure_listener(&mut self) {
-        if self.listener_thread.is_some() {
+    /// Back-pressure: the peer is slow or unreachable and the route's
+    /// bounded queue is full. Fail the send fast; the route (and its queue)
+    /// stay up. Shedding must stay observable: count every drop, warn once
+    /// per route (`first`).
+    fn shed(&self, header: Message, frame: Bytes, first: bool) {
+        self.shared.recycle_frame(frame);
+        self.shared.outbound_dropped.fetch_add(1, Ordering::Relaxed);
+        if first {
+            eprintln!(
+                "kompics-network: outbound queue full ({} messages) for {}; \
+                 shedding to DeadLetters (warning once per connection, see \
+                 kompics_tcp_outbound_dropped_total)",
+                self.shared.config.outbound_queue, header.destination
+            );
+        }
+        self.net.trigger(DeadLetter {
+            message: header,
+            reason: format!(
+                "outbound queue full ({} messages) for {}",
+                self.shared.config.outbound_queue, header.destination
+            ),
+        });
+    }
+
+    /// Remembers that `conn` has frames to write and makes sure one `Flush`
+    /// is on its way to this component.
+    fn flush_later(&mut self, conn: Arc<Conn>) {
+        if !self.dirty.iter().any(|c| Arc::ptr_eq(c, &conn)) {
+            self.dirty.push(conn);
+        }
+        if !self.flush_posted {
+            // Through the outside half, so it arrives like any request: at
+            // the back of the data lane. Only a shedding mailbox policy can
+            // refuse it, and then the next send posts another.
+            let posted = self.flush.share().trigger(Flush);
+            self.flush_posted = posted.is_ok_and(|feedback| feedback.delivered > 0);
+        }
+    }
+
+    fn ensure_io_loop(&mut self) {
+        if self.io_thread.is_some() {
             return;
         }
         let Some(listener) = self.listener.take() else {
             return;
         };
-        listener
-            .set_nonblocking(true)
-            .expect("set listener nonblocking");
-        let shared = Arc::clone(&self.shared);
-        let port = self.net.inside_ref();
-        let self_addr = self.self_addr;
-        let handle = std::thread::Builder::new()
-            .name(format!("tcp-accept-{}", self.self_addr.port))
-            .spawn(move || accept_loop(listener, shared, port, self_addr))
-            .expect("spawn acceptor");
-        self.listener_thread = Some(handle);
+        // A panic in a handler is a supervisable `Fault`.
+        let handle =
+            io_loop::spawn(Arc::clone(&self.shared), listener).expect("start the TCP I/O loop");
+        self.io_thread = Some(handle);
     }
 }
 
-fn spawn_writer(
-    shared: Arc<Shared>,
-    destination: Address,
-    port: PortRef<Network>,
-    initial: Option<TcpStream>,
-) -> SyncSender<Outgoing> {
-    // Capacity 0 would make std's channel a rendezvous, i.e. a blocking send.
-    let (tx, rx) = sync_channel::<Outgoing>(shared.config.outbound_queue.max(1));
-    std::thread::Builder::new()
-        .name(format!("tcp-writer-{}", destination.port))
-        .spawn(move || writer_loop(shared, destination, rx, port, initial))
-        .expect("spawn writer");
-    tx
+/// What `send` owes a route after queueing a frame on it.
+enum AfterSend {
+    Dial,
+    Flush,
+    Nothing,
+}
+
+/// Writes as much of `conn`'s queue as its socket takes without blocking.
+/// A worker's `Flush` and a dialer call it with `from_loop == false` and
+/// stand back while the I/O loop owns the route (`want_write`); on
+/// `WouldBlock` they hand the route to the loop, which calls it with
+/// `from_loop == true` whenever the socket is writable and gives the route
+/// back once the queue is empty.
+pub(crate) fn flush_route(shared: &Arc<Shared>, conn: &Arc<Conn>, from_loop: bool) {
+    let mut out = conn.out.lock();
+    let Link::Open(stream) = &out.link else {
+        return;
+    };
+    if conn.wants_write() != from_loop {
+        return;
+    }
+    let stream = Arc::clone(stream);
+    let mut handed_over = false;
+    let failed = loop {
+        if out.frames.is_empty() {
+            conn.want_write.store(false, Ordering::SeqCst);
+            break false;
+        }
+        let mut slices = [IoSlice::new(&[]); MAX_BATCH_FRAMES];
+        let mut count = 0;
+        let mut bytes = 0;
+        for (outgoing, slice) in out.frames.iter().zip(&mut slices) {
+            if bytes >= MAX_BATCH_BYTES {
+                break;
+            }
+            let skip = if count == 0 { out.head_written } else { 0 };
+            *slice = IoSlice::new(&outgoing.frame[skip..]);
+            bytes += outgoing.frame.len() - skip;
+            count += 1;
+        }
+        match (&*stream).write_vectored(&slices[..count]) {
+            Ok(0) => break true,
+            Ok(written) => {
+                shared.flush_syscalls.fetch_add(1, Ordering::Relaxed);
+                let done = out.consume(written, |frame| shared.recycle_frame(frame));
+                if done > 0 {
+                    out.redialed = false;
+                    if count > 1 {
+                        shared.batched_frames.fetch_add(done, Ordering::Relaxed);
+                    }
+                }
+            }
+            Err(ref e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(ref e) if e.kind() == ErrorKind::WouldBlock => {
+                handed_over = !from_loop;
+                conn.want_write.store(true, Ordering::SeqCst);
+                break false;
+            }
+            Err(_) => break true,
+        }
+    };
+    drop(out);
+    if handed_over {
+        shared.wake_loop();
+    }
+    if failed {
+        connection_lost(shared, conn, &stream);
+    }
+}
+
+impl Out {
+    /// Accounts for `written` bytes the kernel took from the front of the
+    /// queue: hands every frame that is now completely written to `spent`
+    /// and returns how many there were.
+    fn consume(&mut self, mut written: usize, mut spent: impl FnMut(Bytes)) -> u64 {
+        let mut done = 0;
+        while let Some(head) = self.frames.front() {
+            let remaining = head.frame.len() - self.head_written;
+            if written < remaining {
+                self.head_written += written;
+                break;
+            }
+            written -= remaining;
+            self.head_written = 0;
+            if let Some(outgoing) = self.frames.pop_front() {
+                done += 1;
+                spent(outgoing.frame);
+            }
+        }
+        done
+    }
+}
+
+/// `stream` failed (reset, EOF, write error). If it is still `conn`'s link:
+/// with nothing queued the route goes idle; with frames queued it is
+/// re-dialed for them once, resending from the first frame not fully handed
+/// to the kernel (the peer discards a truncated copy at EOF); if the
+/// re-dialed link fails before writing any of them they become
+/// [`DeadLetter`]s. Whoever notices first — a worker's write or the I/O
+/// loop's read — calls this; the second call finds the link changed and
+/// does nothing.
+pub(crate) fn connection_lost(shared: &Arc<Shared>, conn: &Arc<Conn>, stream: &Arc<TcpStream>) {
+    let mut out = conn.out.lock();
+    if !matches!(&out.link, Link::Open(current) if Arc::ptr_eq(current, stream)) {
+        return;
+    }
+    // So the I/O loop sees a hang-up and stops watching the socket.
+    let _ = stream.shutdown(Shutdown::Both);
+    conn.want_write.store(false, Ordering::SeqCst);
+    out.head_written = 0;
+    if out.frames.is_empty() {
+        out.link = Link::Idle;
+    } else if !out.redialed {
+        out.redialed = true;
+        out.link = Link::Connecting;
+        drop(out);
+        spawn_dial(shared, Arc::clone(conn));
+    } else {
+        drop(out);
+        give_up(shared, conn);
+    }
+}
+
+/// The route cannot be (re-)established: everything queued on it becomes a
+/// "cannot reach" [`DeadLetter`] and the route goes idle, so a later send
+/// dials afresh.
+fn give_up(shared: &Shared, conn: &Conn) {
+    let undelivered: Vec<Outgoing> = {
+        let mut out = conn.out.lock();
+        out.link = Link::Idle;
+        out.head_written = 0;
+        out.redialed = false;
+        out.warned_full = false;
+        out.frames.drain(..).collect()
+    };
+    for outgoing in undelivered {
+        let _ = shared.port.trigger(DeadLetter {
+            message: outgoing.header,
+            reason: format!("cannot reach {}", conn.peer),
+        });
+        shared.recycle_frame(outgoing.frame);
+    }
+}
+
+/// Starts the transient thread that connects `conn` (whose link is already
+/// [`Link::Connecting`]). Dialing is the one thing std cannot do without
+/// blocking, so it is the one thing that gets a thread; it exits as soon as
+/// the socket is with the I/O loop.
+fn spawn_dial(shared: &Arc<Shared>, conn: Arc<Conn>) {
+    let spawned = std::thread::Builder::new()
+        .name(format!("tcp-dial-{}", conn.peer.port))
+        .spawn({
+            let shared = Arc::clone(shared);
+            let conn = Arc::clone(&conn);
+            move || dial(&shared, &conn)
+        });
+    if spawned.is_err() {
+        give_up(shared, &conn);
+    }
+}
+
+fn dial(shared: &Arc<Shared>, conn: &Arc<Conn>) {
+    let Some(stream) = establish(shared, conn.peer) else {
+        give_up(shared, conn);
+        return;
+    };
+    let stream = Arc::new(stream);
+    conn.out.lock().link = Link::Open(Arc::clone(&stream));
+    shared.dialed.lock().push((stream, Arc::clone(conn)));
+    shared.wake_loop();
+    flush_route(shared, conn, false);
 }
 
 /// The delay before reconnection attempt `attempt` (0-based): exponential
 /// from [`TcpConfig::connect_retry_delay`], capped at
 /// [`TcpConfig::connect_backoff_cap`], shortened by up to
 /// [`CONNECT_JITTER`] of itself. Jitter comes from a splitmix64
-/// hash of (destination, attempt) — no RNG state, but different writers (and
+/// hash of (destination, attempt) — no RNG state, but different dialers (and
 /// successive attempts) spread out instead of reconnecting in lock-step.
 fn backoff_delay(config: &TcpConfig, destination: Address, attempt: u32) -> Duration {
     let nominal = config
@@ -523,24 +816,16 @@ fn backoff_delay(config: &TcpConfig, destination: Address, attempt: u32) -> Dura
 }
 
 /// Sets the socket options of an established connection. Every stream the
-/// transport uses goes through here once, dialed or accepted (a full-duplex
-/// connection's clones share the socket, hence its options), so both ends
-/// of a connection behave alike:
+/// transport uses goes through here once, dialed or accepted, so both ends
+/// of a connection behave alike: `TCP_NODELAY` — frames are already batched
+/// per slice; left to Nagle, a reply on an accepted socket waits out the
+/// peer's delayed ACK (~40 ms).
 ///
-/// * `TCP_NODELAY` — frames are already batched by the writer; left to
-///   Nagle, a reply on an accepted socket waits out the peer's delayed ACK
-///   (~40 ms);
-/// * a 200 ms read timeout, so a reader blocked on an idle peer notices
-///   shutdown.
-///
-/// Failures are counted and logged, not fatal: the connection still works,
+/// A failure is counted and logged, not fatal: the connection still works,
 /// only slower.
-fn configure_stream(shared: &Shared, stream: &TcpStream, peer: &dyn std::fmt::Display) {
+pub(crate) fn configure_stream(shared: &Shared, stream: &TcpStream, peer: &dyn std::fmt::Display) {
     if let Err(err) = stream.set_nodelay(true) {
         shared.log_sockopt_error("set_nodelay", &peer.to_string(), &err);
-    }
-    if let Err(err) = stream.set_read_timeout(Some(Duration::from_millis(200))) {
-        shared.log_sockopt_error("set_read_timeout", &peer.to_string(), &err);
     }
 }
 
@@ -555,7 +840,7 @@ fn try_connect(shared: &Shared, destination: Address) -> Option<TcpStream> {
                 return Some(stream);
             }
             Err(_) if attempt + 1 < shared.config.connect_retries.max(1) => {
-                // komlint: allow(blocking-sleep) reason="reconnect backoff on the transport's dedicated writer thread, not a scheduler worker"
+                // komlint: allow(blocking-sleep) reason="reconnect backoff on the transport's transient dial thread, not a scheduler worker"
                 std::thread::sleep(backoff_delay(&shared.config, destination, attempt));
             }
             Err(_) => return None,
@@ -564,302 +849,39 @@ fn try_connect(shared: &Shared, destination: Address) -> Option<TcpStream> {
     None
 }
 
-/// Dials `destination`, announces our canonical listen address with a hello
-/// frame (so the peer multiplexes replies onto this socket), and spawns the
-/// client-side reader half of the full-duplex connection.
-fn establish(
-    shared: &Arc<Shared>,
-    destination: Address,
-    port: &PortRef<Network>,
-) -> Option<TcpStream> {
+/// Dials `destination` and announces our canonical listen address with a
+/// hello frame (so the peer multiplexes replies onto this socket). The
+/// hello is written while the fresh socket still blocks; the stream comes
+/// back non-blocking.
+fn establish(shared: &Shared, destination: Address) -> Option<TcpStream> {
     let mut stream = try_connect(shared, destination)?;
-    if stream
+    stream
         .write_all(&frame::hello_frame(shared.self_addr))
-        .is_err()
-    {
-        return None;
-    }
-    match stream.try_clone() {
-        Ok(read_half) => {
-            let shared = Arc::clone(shared);
-            let port = port.clone();
-            let self_addr = shared.self_addr;
-            std::thread::Builder::new()
-                .name(format!("tcp-reader-{}", self_addr.port))
-                .spawn(move || reader_loop(read_half, shared, port, self_addr))
-                .expect("spawn reader");
-        }
-        Err(err) => {
-            // Degraded but functional: without a local read half, replies
-            // from the peer arrive over a peer-dialed connection instead.
-            shared.log_sockopt_error("try_clone", &destination.to_string(), &err);
-        }
-    }
+        .and_then(|()| stream.set_nonblocking(true))
+        .ok()?;
     Some(stream)
 }
 
-fn writer_loop(
-    shared: Arc<Shared>,
-    destination: Address,
-    rx: Receiver<Outgoing>,
-    port: PortRef<Network>,
-    initial: Option<TcpStream>,
-) {
-    let mut stream: Option<TcpStream> = initial;
-    let mut batch: Vec<Outgoing> = Vec::new();
-    loop {
-        batch.clear();
-        // komlint: allow(blocking-recv) reason="this loop IS the dedicated writer thread; it exists to block on the outgoing queue"
-        match rx.recv() {
-            Ok(outgoing) => batch.push(outgoing),
-            Err(_) => return,
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // Coalesce whatever else is already queued, up to the batch budget.
-        let mut batch_bytes = batch[0].frame.len();
-        while batch.len() < MAX_BATCH_FRAMES && batch_bytes < MAX_BATCH_BYTES {
-            match rx.try_recv() {
-                Ok(outgoing) => {
-                    batch_bytes += outgoing.frame.len();
-                    batch.push(outgoing);
-                }
-                Err(_) => break,
-            }
-        }
-        // Flush, with one reconnect attempt on write failure. Frames before
-        // the failure point were handed to the kernel and are not resent; a
-        // partially-written frame is resent from its start (the peer
-        // discards the truncated copy at EOF).
-        let mut start = 0;
-        let mut attempts_left = 2;
-        while start < batch.len() && attempts_left > 0 {
-            if stream.is_none() {
-                stream = establish(&shared, destination, &port);
-                if stream.is_none() {
-                    break;
-                }
-            }
-            match flush_frames(
-                stream.as_mut().expect("stream set"),
-                &batch[start..],
-                &shared,
-            ) {
-                Ok(()) => {
-                    if batch.len() - start > 1 {
-                        shared
-                            .batched_frames
-                            .fetch_add((batch.len() - start) as u64, Ordering::Relaxed);
-                    }
-                    start = batch.len();
-                }
-                Err(flushed) => {
-                    start += flushed;
-                    stream = None;
-                    attempts_left -= 1;
-                }
-            }
-        }
-        for outgoing in &batch[start..] {
-            let _ = port.trigger(DeadLetter {
-                message: outgoing.header,
-                reason: format!("cannot reach {destination}"),
-            });
-        }
-        for outgoing in batch.drain(..) {
-            shared.recycle_frame(outgoing.frame);
-        }
-    }
-}
-
-/// Writes `frames` with vectored syscalls, handling partial writes.
-/// On I/O failure returns `Err(n)` where `n` is the count of frames fully
-/// handed to the kernel before the failure.
-fn flush_frames(stream: &mut TcpStream, frames: &[Outgoing], shared: &Shared) -> Result<(), usize> {
-    let mut idx = 0; // first frame not yet fully written
-    let mut offset = 0; // bytes of frames[idx] already written
-    let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(frames.len());
-    while idx < frames.len() {
-        slices.clear();
-        slices.push(IoSlice::new(&frames[idx].frame[offset..]));
-        for outgoing in &frames[idx + 1..] {
-            slices.push(IoSlice::new(&outgoing.frame));
-        }
-        match stream.write_vectored(&slices) {
-            Ok(0) => return Err(idx),
-            Ok(mut n) => {
-                shared.flush_syscalls.fetch_add(1, Ordering::Relaxed);
-                while idx < frames.len() {
-                    let remaining = frames[idx].frame.len() - offset;
-                    if n >= remaining {
-                        n -= remaining;
-                        idx += 1;
-                        offset = 0;
-                    } else {
-                        offset += n;
-                        break;
-                    }
-                }
-            }
-            Err(ref e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return Err(idx),
-        }
-    }
-    Ok(())
-}
-
-/// Whether an `accept` error cost an inbound connection, as opposed to
-/// `WouldBlock` on the non-blocking listener (nothing pending). Everything
-/// else `accept(2)` reports — `ECONNABORTED`, `EMFILE`/`ENFILE`/`ENOBUFS`,
-/// `EINTR`, an error already pending on the new socket — is about *one*
-/// connection and can be provoked by a remote peer, so none of them may end
-/// the listener.
-fn is_lost_connection(kind: ErrorKind) -> bool {
-    kind != ErrorKind::WouldBlock
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    port: PortRef<Network>,
-    self_addr: Address,
-) {
-    while !shared.shutdown.load(Ordering::Acquire) {
-        let lost = match listener.accept() {
-            Ok((stream, peer)) => {
-                configure_stream(&shared, &stream, &peer);
-                let shared = Arc::clone(&shared);
-                let port = port.clone();
-                let reader = std::thread::Builder::new()
-                    .name(format!("tcp-reader-{}", self_addr.port))
-                    .spawn(move || reader_loop(stream, shared, port, self_addr));
-                if reader.is_ok() {
-                    continue;
-                }
-                // The closure owned the stream: it is closed, the peer
-                // redials.
-                true
-            }
-            Err(err) => is_lost_connection(err.kind()),
-        };
-        if lost {
-            shared.accept_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        // komlint: allow(blocking-sleep) reason="accept-poll backoff on the transport's dedicated acceptor thread"
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
 /// When a hello frame announces `peer` as the remote's canonical listen
-/// address, register the live socket as the write route to it, making the
-/// connection full duplex. An existing route (e.g. from a simultaneous
-/// dial) wins; the duplicate socket then only carries inbound traffic.
-fn register_route(
-    shared: &Arc<Shared>,
-    port: &PortRef<Network>,
+/// address, publish the live socket as the write route to it, making the
+/// connection full duplex. Returns the route if `stream` now carries it. A
+/// route that is already open or dialing (e.g. from a simultaneous dial)
+/// wins; the duplicate socket then only carries inbound traffic.
+pub(crate) fn register_route(
+    shared: &Shared,
     peer: Address,
-    stream: &TcpStream,
-) {
-    let endpoint = (peer.ip, peer.port);
+    stream: &Arc<TcpStream>,
+) -> Option<Arc<Conn>> {
     let mut table = shared.connections.lock();
-    if table.contains_key(&endpoint) {
-        return;
+    let conn = table
+        .entry((peer.ip, peer.port))
+        .or_insert_with(|| Conn::new(peer, Link::Idle));
+    let mut out = conn.out.lock();
+    if !matches!(out.link, Link::Idle) {
+        return None;
     }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let conn = Conn {
-        tx: spawn_writer(Arc::clone(shared), peer, port.clone(), Some(write_half)),
-        warned_full: Arc::new(AtomicBool::new(false)),
-    };
-    table.insert(endpoint, conn);
-}
-
-fn reader_loop(
-    mut stream: TcpStream,
-    shared: Arc<Shared>,
-    port: PortRef<Network>,
-    self_addr: Address,
-) {
-    let mut buf = RecvBuf::new();
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match stream.read(buf.spare()) {
-            Ok(0) => return,
-            Ok(n) => buf.advance(n),
-            Err(ref e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                continue;
-            }
-            Err(_) => return,
-        }
-        let delivered = buf.deliver_frames(|payload| {
-            handle_frame(&shared, &port, self_addr, &stream, payload);
-        });
-        if let Err(len) = delivered {
-            let _ = port.trigger(DeadLetter {
-                message: Message::new(Address::sim(0), self_addr),
-                reason: format!(
-                    "frame length {len} exceeds max_frame {}; dropping connection",
-                    frame::MAX_FRAME
-                ),
-            });
-            return;
-        }
-    }
-}
-
-/// Decodes and delivers one frame payload (already a zero-copy view of the
-/// receive buffer).
-fn handle_frame(
-    shared: &Arc<Shared>,
-    port: &PortRef<Network>,
-    self_addr: Address,
-    stream: &TcpStream,
-    payload: Bytes,
-) {
-    if frame::is_hello(&payload) {
-        if let Some(peer) = frame::parse_hello(&payload) {
-            register_route(shared, port, peer, stream);
-        }
-        return;
-    }
-    shared.received.fetch_add(1, Ordering::Relaxed);
-    shared.bytes_received.fetch_add(
-        (payload.len() + frame::LEN_PREFIX) as u64,
-        Ordering::Relaxed,
-    );
-
-    let borrowed_before = bytes::serde_support::borrowed_views();
-    match frame::decode_payload(&shared.registry, &payload) {
-        Ok(event) => {
-            if bytes::serde_support::borrowed_views() > borrowed_before {
-                shared.borrowed_decodes.fetch_add(1, Ordering::Relaxed);
-            }
-            match port.trigger_shared(event) {
-                Ok(feedback) if feedback.pushback => {
-                    // A destination mailbox (Block lane) is saturated:
-                    // stop draining the socket for a beat. The kernel
-                    // receive buffer fills and TCP flow control pushes
-                    // back on the remote peer; pushback clears once the
-                    // mailbox drops below its low watermark, and reads
-                    // resume at full speed.
-                    shared.read_pauses.fetch_add(1, Ordering::Relaxed);
-                    // komlint: allow(blocking-sleep) reason="read-path pause on the transport's dedicated reader thread is the backpressure mechanism itself"
-                    std::thread::sleep(READ_PAUSE);
-                }
-                _ => {}
-            }
-        }
-        Err(err) => {
-            let _ = port.trigger(DeadLetter {
-                message: Message::new(Address::sim(0), self_addr),
-                reason: format!("undecodable frame: {err}"),
-            });
-        }
-    }
+    out.link = Link::Open(Arc::clone(stream));
+    Some(Arc::clone(conn))
 }
 
 impl ComponentDefinition for TcpNetwork {
@@ -873,11 +895,13 @@ impl ComponentDefinition for TcpNetwork {
 
 impl Drop for TcpNetwork {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.connections.lock().clear();
-        if let Some(handle) = self.listener_thread.take() {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.wake_loop();
+        if let Some(handle) = self.io_thread.take() {
             let _ = handle.join();
         }
+        self.shared.connections.lock().clear();
+        self.shared.dialed.lock().clear();
     }
 }
 
@@ -906,87 +930,25 @@ mod tests {
 
     #[test]
     fn dialed_and_accepted_streams_get_the_same_socket_options() {
+        let system = KompicsSystem::new(Config::default().workers(1));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let port = listener.local_addr().unwrap().port();
-        let shared = Shared::new(
-            Arc::new(MessageRegistry::new()),
-            TcpConfig::default(),
-            Address::local(port, 1),
-        );
+        // A transport (never started) only to have its `Shared`.
+        let (addr, own_listener) = TcpNetwork::bind(Address::local(0, 1)).unwrap();
+        let tcp = system.create(move || {
+            let registry = Arc::new(MessageRegistry::new());
+            TcpNetwork::new(addr, own_listener, registry, TcpConfig::default())
+        });
+        let shared = tcp.on_definition(|t| Arc::clone(&t.shared)).unwrap();
         let dialed = try_connect(&shared, Address::local(port, 1)).expect("listener is up");
         let (accepted, peer) = listener.accept().unwrap();
         assert!(!accepted.nodelay().unwrap(), "the OS default is Nagle on");
         configure_stream(&shared, &accepted, &peer);
         for (stream, end) in [(&dialed, "dialed"), (&accepted, "accepted")] {
             assert!(stream.nodelay().unwrap(), "{end}: TCP_NODELAY");
-            assert_eq!(
-                stream.read_timeout().unwrap(),
-                Some(Duration::from_millis(200)),
-                "{end}: read timeout"
-            );
         }
         assert_eq!(shared.sockopt_errors.load(Ordering::Relaxed), 0);
-    }
-
-    /// The `Disconnected` twin of the queue-full test. A writer only ends
-    /// at shutdown or by dying, so the dead route is planted: a table entry
-    /// whose receiver is gone. The send pays one DeadLetter, is not counted
-    /// as sent, and forgets the route so the next send dials afresh.
-    #[test]
-    fn send_to_a_dead_writer_dead_letters_once_and_forgets_the_route() {
-        let system = KompicsSystem::new(Config::default().workers(1));
-        let (addr, listener) = TcpNetwork::bind(Address::local(0, 1)).unwrap();
-        let mut registry = MessageRegistry::new();
-        registry.register::<Message>(1).unwrap();
-        let tcp = system.create(move || {
-            TcpNetwork::new(addr, listener, Arc::new(registry), TcpConfig::default())
-        });
-        let net = tcp.provided_ref::<Network>().unwrap();
-        let dead = Arc::new(Mutex::new(Vec::new()));
-        net.tap({
-            let dead = Arc::clone(&dead);
-            move |_, event| {
-                if let Some(letter) = event_as::<DeadLetter>(event.as_ref()) {
-                    dead.lock().push(letter.reason.clone());
-                }
-            }
-        });
-        system.start(&tcp);
-
-        let peer = Address::local(1, 2);
-        tcp.on_definition(|t| {
-            let (tx, _) = sync_channel(1);
-            let conn = Conn {
-                tx,
-                warned_full: Arc::new(AtomicBool::new(false)),
-            };
-            t.shared
-                .connections
-                .lock()
-                .insert((peer.ip, peer.port), conn);
-        })
-        .unwrap();
-        net.trigger(Message::new(addr, peer)).unwrap();
-        system.await_quiescence();
-
-        assert_eq!(*dead.lock(), ["connection writer terminated"]);
-        let (routes, sent) = tcp
-            .on_definition(|t| (t.shared.connections.lock().len(), t.message_stats().0))
-            .unwrap();
-        assert_eq!((routes, sent), (0, 0));
         system.shutdown();
-    }
-
-    #[test]
-    fn only_would_block_is_not_a_lost_connection() {
-        for kind in [
-            ErrorKind::ConnectionAborted,
-            ErrorKind::Interrupted,
-            ErrorKind::Other,
-        ] {
-            assert!(is_lost_connection(kind), "{kind:?}");
-        }
-        assert!(!is_lost_connection(ErrorKind::WouldBlock));
     }
 
     #[test]
