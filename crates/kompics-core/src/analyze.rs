@@ -560,7 +560,7 @@ pub(crate) fn surface_of(core: &Arc<ComponentCore>) -> ComponentSurface {
         guard.iter().map(|r| Arc::clone(&r.inside)).collect()
     };
     for inside in records {
-        let inner = inside.inner.lock();
+        let inner = inside.wiring();
         for sub in &inner.subscriptions {
             handled.insert(short_name(sub.event_type_name).to_string());
         }
@@ -644,12 +644,12 @@ fn analyze_components(components: &[Arc<ComponentCore>]) -> Vec<Finding> {
 /// and nobody subscribed handlers at its outside half (a parent can consume
 /// a child's requests directly).
 fn required_port_is_dangling(inside: &Arc<PortCore>, outside: &Arc<PortCore>) -> bool {
-    let outside_inner = outside.inner.lock();
+    let outside_inner = outside.wiring();
     if !outside_inner.channels.is_empty() || !outside_inner.subscriptions.is_empty() {
         return false;
     }
     drop(outside_inner);
-    inside.inner.lock().channels.is_empty()
+    inside.wiring().channels.is_empty()
 }
 
 /// Flags a provided port that the outside world can reach (channels or
@@ -675,13 +675,13 @@ fn dead_handler_at(
         return;
     }
     {
-        let inner = inside.inner.lock();
+        let inner = inside.wiring();
         if !inner.subscriptions.is_empty() || !inner.channels.is_empty() {
             return;
         }
     }
     let reachable = {
-        let outer = outside.inner.lock();
+        let outer = outside.wiring();
         !outer.subscriptions.is_empty() || !outer.channels.is_empty()
     };
     if !reachable {
@@ -706,7 +706,7 @@ fn dead_events_at(comp: &Arc<ComponentCore>, half: &Arc<PortCore>, findings: &mu
     let Some(catalog) = (half.catalog)(half.sign) else {
         return;
     };
-    let inner = half.inner.lock();
+    let inner = half.wiring();
     if !inner.channels.is_empty() || inner.subscriptions.is_empty() {
         return;
     }
@@ -740,7 +740,7 @@ fn duplicate_subscriptions_at(half: &Arc<PortCore>, findings: &mut Vec<Finding>)
     if half.port_type == TypeId::of::<ControlPort>() {
         return;
     }
-    let inner = half.inner.lock();
+    let inner = half.wiring();
     let mut counts: BTreeMap<(ComponentId, &'static str), (usize, TypeId, String)> =
         BTreeMap::new();
     for sub in &inner.subscriptions {

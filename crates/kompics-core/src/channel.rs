@@ -31,6 +31,7 @@ use crate::event::{Event, EventRef};
 use crate::mailbox::Feedback;
 use crate::port::{Direction, PortCore, PortRef, PortType};
 use crate::rcu::RcuCell;
+use crate::route::{Sink, Version};
 use crate::types::{ChannelId, PortId};
 
 static NEXT_CHANNEL_ID: AtomicU64 = AtomicU64::new(1);
@@ -71,11 +72,13 @@ pub struct Channel {
     id: ChannelId,
     port_type: TypeId,
     type_name: &'static str,
-    selector: Option<ChannelSelector>,
+    pub(crate) selector: Option<ChannelSelector>,
     key: Option<u64>,
     /// Canonical state; all mutations republish `view`.
     state: Mutex<ChannelState>,
     view: RcuCell<ChanView>,
+    /// Bumped after every republish of `view`; see [`crate::route`].
+    version: Version,
 }
 
 impl fmt::Debug for Channel {
@@ -90,8 +93,9 @@ impl fmt::Debug for Channel {
 
 impl Channel {
     /// Applies a mutation to the canonical state under the lock, then
-    /// republishes the lock-free routing view. All publishes happen under
-    /// `state`, satisfying [`RcuCell::publish`]'s serialization requirement.
+    /// republishes the lock-free routing view and announces it to the routes
+    /// that crossed this channel. All publishes happen under `state`,
+    /// satisfying [`RcuCell::publish`]'s serialization requirement.
     fn mutate_state<R>(&self, f: impl FnOnce(&mut ChannelState) -> R) -> R {
         let mut state = self.state.lock();
         let out = f(&mut state);
@@ -99,11 +103,11 @@ impl Channel {
             ends: state.ends.clone(),
             held: state.held,
         });
+        self.version.bump();
         out
     }
 
-    /// Forwards an event that exited at the half identified by
-    /// (`source_port`, `source_sign`) to the opposite end.
+    /// Forwards an event that exited at `from` to the opposite end.
     ///
     /// Forwarding is *synchronous on the triggering thread*: the chain
     /// trigger → channel → far half → `enqueue_work` runs before the
@@ -112,22 +116,26 @@ impl Channel {
     /// still the thread's current span when delivery mints the child span,
     /// so causality propagates through channels without the channel
     /// carrying any trace state.
-    pub(crate) fn forward_from(
+    ///
+    /// This is the channel half of the one walk described in
+    /// [`crate::route`]; `sink` decides whether it acts or records.
+    pub(crate) fn forward<S: Sink>(
         self: &Arc<Self>,
-        source_port: PortId,
-        source_sign: Direction,
+        from: &Arc<PortCore>,
         dir: Direction,
-        event: EventRef,
-    ) -> Feedback {
+        event: &EventRef,
+        sink: &mut S,
+    ) {
         if let Some(selector) = &self.selector {
+            if sink.defer_forward(self, from) {
+                return;
+            }
             if !selector(event.as_ref(), dir) {
-                return Feedback::default();
+                return;
             }
         }
-        let source_idx = match source_sign {
-            Direction::Positive => 0,
-            Direction::Negative => 1,
-        };
+        let source_idx = Channel::end_index_for_sign(from.sign);
+        sink.crossing(&self.version);
         // Fast path: pin the routing view — no lock while the channel is
         // flowing. A forwarder that pinned `held == false` just before a
         // hold() published may still deliver after hold() returns; the old
@@ -137,24 +145,24 @@ impl Channel {
         let dest = {
             let view = self.view.pin();
             match &view.ends[source_idx] {
-                Some(end) if end.port_id == source_port => {}
+                Some(end) if end.port_id == from.port_id() => {}
                 // The source half was unplugged concurrently; drop.
-                _ => return Feedback::default(),
+                _ => return,
             }
             if view.held {
                 drop(view);
-                return self.forward_held(source_idx, source_port, dir, event);
+                sink.held(self, from, dir, event);
+                return;
             }
             match &view.ends[1 - source_idx] {
                 Some(end) => end.half.upgrade(),
                 None => None,
             }
         };
-        match dest {
-            // Delivered outside the pin: FIFO per producer still holds
-            // because forwarding is synchronous on the producing thread.
-            Some(dest) => dest.trigger_in(dir, event).unwrap_or_default(),
-            None => Feedback::default(),
+        // Delivered outside the pin: FIFO per producer still holds because
+        // forwarding is synchronous on the producing thread.
+        if let Some(dest) = dest {
+            sink.arrive(&dest, dir, event);
         }
     }
 
@@ -162,17 +170,17 @@ impl Channel {
     /// state lock so buffering linearizes with [`ChannelRef::resume`]'s
     /// flush — without the re-check an event could be buffered *after* the
     /// final flush and sit there until the next resume.
-    fn forward_held(
-        self: &Arc<Self>,
-        source_idx: usize,
-        source_port: PortId,
+    pub(crate) fn forward_held(
+        &self,
+        from: &PortCore,
         dir: Direction,
-        event: EventRef,
+        event: &EventRef,
     ) -> Feedback {
+        let source_idx = Channel::end_index_for_sign(from.sign);
         let dest = {
             let mut state = self.state.lock();
             match &state.ends[source_idx] {
-                Some(end) if end.port_id == source_port => {}
+                Some(end) if end.port_id == from.port_id() => {}
                 _ => return Feedback::default(),
             }
             let dest_idx = 1 - source_idx;
@@ -181,7 +189,7 @@ impl Channel {
                 // hold→resume protocol drains this buffer in full, so its
                 // size is the number of events triggered while held.
                 // komlint: allow(unbounded-queue-push) reason="held-channel buffer is drained by resume(); bounding it would drop events mid-reconfiguration"
-                state.buffer.push_back((dest_idx, dir, event));
+                state.buffer.push_back((dest_idx, dir, Arc::clone(event)));
                 return Feedback::default();
             }
             match &state.ends[dest_idx] {
@@ -286,7 +294,7 @@ impl ChannelRef {
                 });
             match next {
                 Some((Some(dest), dir, event)) => {
-                    let _ = dest.trigger_in(dir, event);
+                    let _ = dest.trigger_in(dir, &event);
                 }
                 Some((None, _, _)) => {} // destination end unplugged: drop
                 None => break,
@@ -443,6 +451,7 @@ fn connect_impl<P: PortType>(
             buffer: VecDeque::new(),
         }),
         view: RcuCell::new(ChanView::default()),
+        version: Version::new(),
     });
     let r = ChannelRef { channel };
     r.plug(a)?;
@@ -613,11 +622,11 @@ mod tests {
             required.core().pair.get().and_then(Weak::upgrade).unwrap(),
         ];
         {
-            let _port_guards: Vec<_> = halves.iter().map(|h| h.inner.lock()).collect();
+            let _port_guards: Vec<_> = halves.iter().map(|h| h.writer.lock()).collect();
             let _chan_guard = chan.channel.state.lock();
             // The probe sees the locks as held...
             for half in &halves {
-                assert!(half.inner.is_locked());
+                assert!(half.writer.is_locked());
             }
             assert!(chan.channel.state.is_locked());
             // ...while the entire hot path runs under them: trigger fan-out,

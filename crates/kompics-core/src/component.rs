@@ -309,7 +309,7 @@ impl ComponentContext {
         let _ = child
             .core
             .control_outside
-            .trigger_in(Direction::Negative, Arc::new(Start));
+            .trigger_new(Direction::Negative, Start);
     }
 
     /// Triggers [`Stop`] on a child's control port.
@@ -317,7 +317,7 @@ impl ComponentContext {
         let _ = child
             .core
             .control_outside
-            .trigger_in(Direction::Negative, Arc::new(Stop));
+            .trigger_new(Direction::Negative, Stop);
     }
 
     /// Triggers [`Kill`] on a child's control port.
@@ -325,7 +325,7 @@ impl ComponentContext {
         let _ = child
             .core
             .control_outside
-            .trigger_in(Direction::Negative, Arc::new(Kill));
+            .trigger_new(Direction::Negative, Kill);
     }
 
     /// Subscribes a handler (owned by *this* component) on an arbitrary port
@@ -637,9 +637,7 @@ impl ComponentCore {
                 let saw_kill = self.drain_queues_noting_kill(&system);
                 if saw_kill && state == LifecycleState::Faulty {
                     for child in self.children_snapshot() {
-                        let _ = child
-                            .control_outside
-                            .trigger_in(Direction::Negative, Arc::new(Kill));
+                        let _ = child.control_outside.trigger_new(Direction::Negative, Kill);
                     }
                     self.destroy_now();
                 }
@@ -784,25 +782,21 @@ impl ComponentCore {
                 for child in self.children_snapshot() {
                     let _ = child
                         .control_outside
-                        .trigger_in(Direction::Negative, Arc::new(Start));
+                        .trigger_new(Direction::Negative, Start);
                 }
                 let _ = self
                     .control_inside
-                    .trigger_in(Direction::Positive, Arc::new(Started));
+                    .trigger_new(Direction::Positive, Started);
             } else if concrete == TypeId::of::<Stop>() {
                 for child in self.children_snapshot() {
-                    let _ = child
-                        .control_outside
-                        .trigger_in(Direction::Negative, Arc::new(Stop));
+                    let _ = child.control_outside.trigger_new(Direction::Negative, Stop);
                 }
                 let _ = self
                     .control_inside
-                    .trigger_in(Direction::Positive, Arc::new(Stopped));
+                    .trigger_new(Direction::Positive, Stopped);
             } else if concrete == TypeId::of::<Kill>() {
                 for child in self.children_snapshot() {
-                    let _ = child
-                        .control_outside
-                        .trigger_in(Direction::Negative, Arc::new(Kill));
+                    let _ = child.control_outside.trigger_new(Direction::Negative, Kill);
                 }
                 self.destroy_now();
             }
@@ -888,7 +882,7 @@ impl ComponentCore {
             if current.control_outside_has_fault_handler() {
                 current
                     .control_outside
-                    .dispatch(Direction::Positive, Arc::clone(&event));
+                    .dispatch(Direction::Positive, &event);
                 return;
             }
             match current.parent() {
@@ -904,7 +898,7 @@ impl ComponentCore {
     }
 
     fn control_outside_has_fault_handler(&self) -> bool {
-        let inner = self.control_outside.inner.lock();
+        let inner = self.control_outside.wiring();
         inner.subscriptions.iter().any(|s| {
             s.event_type == TypeId::of::<Fault>()
                 && s.subscriber
@@ -1035,7 +1029,7 @@ where
         for record in ports.iter() {
             for half in [&record.inside, &record.outside] {
                 let _ = half.owner.set((id, weak.clone()));
-                let inner = half.inner.lock();
+                let inner = half.wiring();
                 for sub in inner.subscriptions.iter() {
                     let _ = sub.subscriber.set((id, weak.clone()));
                 }

@@ -86,6 +86,7 @@ pub mod mailbox;
 pub mod port;
 pub(crate) mod rcu;
 pub mod reconfig;
+pub(crate) mod route;
 pub mod sched;
 pub mod supervision;
 pub mod system;

@@ -38,11 +38,13 @@ use std::sync::{Arc, OnceLock, Weak};
 use parking_lot::Mutex;
 
 use crate::channel::Channel;
-use crate::component::{construction_frame_attach, ComponentCore, ComponentDefinition, WorkItem};
+use crate::component::{construction_frame_attach, ComponentCore, ComponentDefinition};
 use crate::error::CoreError;
 use crate::event::{event_as, Event, EventRef};
+use crate::lifecycle::ControlPort;
 use crate::mailbox::Feedback;
-use crate::rcu::RcuCell;
+use crate::rcu::{RcuCell, RcuGuard};
+use crate::route::{Live, Recorder, Route, Sink, Version};
 use crate::types::{ChannelId, ComponentId, HandlerId, PortId};
 
 static NEXT_PORT_ID: AtomicU64 = AtomicU64::new(1);
@@ -267,15 +269,53 @@ pub(crate) struct ChannelAttachment {
     pub(crate) channel: Arc<Channel>,
 }
 
+/// Keyed channel selection at a half with a key extractor: which of
+/// `PortInner::channels` an event with a given key is forwarded into, found
+/// without looking at the others.
+#[derive(Clone)]
+pub(crate) struct KeyedDispatch {
+    pub(crate) extractor: KeyExtractor,
+    /// Positions in `channels` of the attachments without a key, ascending.
+    unkeyed: Vec<usize>,
+    /// Positions in `channels` of the attachments with each key, ascending.
+    by_key: HashMap<u64, Vec<usize>>,
+}
+
+impl KeyedDispatch {
+    fn index(&mut self, position: usize, key: Option<u64>) {
+        match key {
+            Some(k) => self.by_key.entry(k).or_default().push(position),
+            None => self.unkeyed.push(position),
+        }
+    }
+
+    fn reindex(&mut self, channels: &[ChannelAttachment]) {
+        self.unkeyed.clear();
+        self.by_key.clear();
+        for (position, attachment) in channels.iter().enumerate() {
+            self.index(position, attachment.key);
+        }
+    }
+}
+
 #[derive(Default, Clone)]
 pub(crate) struct PortInner {
     pub(crate) subscriptions: Vec<Arc<Subscription>>,
     pub(crate) channels: Vec<ChannelAttachment>,
-    pub(crate) key_extractor: Option<KeyExtractor>,
-    /// Channel ids by key, maintained when a key extractor is installed.
-    pub(crate) keyed: HashMap<u64, Vec<ChannelId>>,
+    /// Present once a key extractor is installed; boxed because few halves
+    /// have one.
+    pub(crate) keyed: Option<Box<KeyedDispatch>>,
     /// Observation taps, invoked on every dispatch through this half.
     pub(crate) taps: Vec<(HandlerId, TapFn)>,
+    /// What triggering into this half comes to, per (direction, concrete
+    /// event type). See [`crate::route`].
+    routes: Option<Arc<[Route]>>,
+}
+
+impl PortInner {
+    pub(crate) fn routes(&self) -> &[Route] {
+        self.routes.as_deref().unwrap_or(&[])
+    }
 }
 
 /// One half of a port pair. See the module documentation for the event-flow
@@ -295,12 +335,30 @@ pub struct PortCore {
     pub(crate) catalog: fn(Direction) -> Option<Vec<EventTypeInfo>>,
     pub(crate) owner: OnceLock<(ComponentId, Weak<ComponentCore>)>,
     pub(crate) pair: OnceLock<Weak<PortCore>>,
-    /// Canonical, writer-side state. Every mutation happens under this lock
-    /// and republishes `snap`; the dispatch fast path never touches it.
-    pub(crate) inner: Mutex<PortInner>,
-    /// Lock-free snapshot of `inner` read by [`PortCore::dispatch`] and
-    /// [`PortCore::execute_handlers`] — the trigger fan-out fast path.
+    /// Serializes writers: every mutation copies the current `snap`, changes
+    /// the copy and publishes it under this lock. The dispatch fast path
+    /// never touches it.
+    pub(crate) writer: Mutex<()>,
+    /// The half's wiring, read lock-free by [`PortCore::trigger_in`],
+    /// [`PortCore::exit`] and [`PortCore::execute_handlers`] — the trigger
+    /// fan-out fast path — and by everything else through
+    /// [`PortCore::wiring`].
     snap: RcuCell<PortInner>,
+    /// Bumped after every publish of `snap` that changed the wiring, and
+    /// when this half or its pair dies; see [`crate::route`].
+    version: Version,
+}
+
+impl Drop for PortCore {
+    fn drop(&mut self) {
+        // A walk stops at a dead half, but nothing publishes a death: tell
+        // the routes that exit via this half, and those that enter it and
+        // exit via its pair.
+        self.version.bump();
+        if let Some(pair) = self.pair() {
+            pair.version.bump();
+        }
+    }
 }
 
 impl fmt::Debug for PortCore {
@@ -338,8 +396,9 @@ impl PortCore {
                 catalog: P::event_catalog,
                 owner: OnceLock::new(),
                 pair: OnceLock::new(),
-                inner: Mutex::new(PortInner::default()),
+                writer: Mutex::new(()),
                 snap: RcuCell::new(PortInner::default()),
+                version: Version::new(),
             })
         };
         let inside = make(inside_sign, true);
@@ -360,21 +419,44 @@ impl PortCore {
         self.id
     }
 
-    /// Applies a mutation to the canonical state under the write lock, then
-    /// republishes the lock-free snapshot the dispatch fast path reads.
+    /// The other half of the pair, if still alive.
+    pub(crate) fn pair(&self) -> Option<Arc<PortCore>> {
+        self.pair.get().and_then(Weak::upgrade)
+    }
+
+    /// The current wiring of this half.
+    pub(crate) fn wiring(&self) -> RcuGuard<'_, PortInner> {
+        self.snap.pin()
+    }
+
+    /// Applies a mutation to a copy of the wiring under the writer lock,
+    /// publishes the copy as the snapshot the dispatch fast path reads, and
+    /// announces it to the routes that exit via this half.
     /// In-flight dispatches keep their pinned (pre-mutation) snapshot; the
     /// next dispatch observes the new one — the same linearization a plain
     /// mutex would give, without readers ever blocking.
     pub(crate) fn mutate<R>(&self, f: impl FnOnce(&mut PortInner) -> R) -> R {
-        let mut inner = self.inner.lock();
-        let out = f(&mut inner);
-        self.snap.publish(inner.clone());
+        let _writer = self.writer.lock();
+        // The pin is dropped before the publish, which can then free the
+        // snapshot it replaces.
+        let mut next = PortInner::clone(&self.snap.pin());
+        let out = f(&mut next);
+        self.snap.publish(next);
+        self.version.bump();
         out
     }
 
     /// Installs a key extractor used to index channels by a routing key.
     pub(crate) fn set_key_extractor(&self, extractor: KeyExtractor) {
-        self.mutate(|inner| inner.key_extractor = Some(extractor));
+        self.mutate(|inner| {
+            let mut keyed = KeyedDispatch {
+                extractor,
+                unkeyed: Vec::new(),
+                by_key: HashMap::new(),
+            };
+            keyed.reindex(&inner.channels);
+            inner.keyed = Some(Box::new(keyed));
+        });
     }
 
     /// An event *enters* this half: triggered on it by a component in this
@@ -383,10 +465,15 @@ impl PortCore {
     /// [`Feedback`] of every component the event was delivered to — the
     /// end of the synchronous trigger→channel→mailbox chain, which is what
     /// carries back-pressure back to the producer.
+    ///
+    /// Hot path: one RCU pin, zero Mutex acquisitions, zero allocations —
+    /// the [`Route`] resolved for this (direction, event type) is replayed
+    /// while the wiring it crossed is unchanged. Otherwise the walk is
+    /// resolved again, and runs live if no route can express it.
     pub(crate) fn trigger_in(
         &self,
         dir: Direction,
-        event: EventRef,
+        event: &EventRef,
     ) -> Result<Feedback, CoreError> {
         if !(self.allows)(event.as_ref(), dir) {
             return Err(CoreError::EventNotAllowed {
@@ -395,29 +482,82 @@ impl PortCore {
                 direction: dir,
             });
         }
-        match self.pair.get().and_then(Weak::upgrade) {
-            Some(pair) => Ok(pair.dispatch(dir, event)),
-            None => Ok(Feedback::default()),
+        let event_type = event.as_any().type_id();
+        // A control port carries each life-cycle event once per component:
+        // a route there would be resolved and never replayed.
+        let memoise = self.port_type != TypeId::of::<ControlPort>();
+        if memoise {
+            let snap = self.snap.pin();
+            let kept = snap.routes().iter().find(|r| r.is_for(dir, event_type));
+            if let Some(route) = kept.filter(|route| route.is_current()) {
+                return Ok(route.replay(dir, event));
+            }
         }
+        let Some(pair) = self.pair() else {
+            return Ok(Feedback::default());
+        };
+        if memoise {
+            let mut recorder = Recorder::new();
+            pair.exit(dir, event, &mut recorder);
+            if let Some(route) = recorder.finish(dir, event_type) {
+                let feedback = route.replay(dir, event);
+                self.keep_route(route);
+                return Ok(feedback);
+            }
+        }
+        Ok(pair.dispatch(dir, event))
     }
 
-    /// An event *exits* via this half: deliver to this half's subscriptions
-    /// (if the direction matches this half's sign) and forward into this
-    /// half's channels. Returns the aggregated admission feedback of every
-    /// mailbox reached (channels forward synchronously, so the whole
-    /// fan-out completes before this returns).
-    pub(crate) fn dispatch(self: &Arc<Self>, dir: Direction, event: EventRef) -> Feedback {
-        // Hot path: one RCU pin, zero Mutex acquisitions, zero allocations.
+    /// [`PortCore::trigger_in`] for an event nobody else holds yet.
+    pub(crate) fn trigger_new(
+        &self,
+        dir: Direction,
+        event: impl Event,
+    ) -> Result<Feedback, CoreError> {
+        self.trigger_in(dir, &(Arc::new(event) as EventRef))
+    }
+
+    /// Adds `route` to the routes this half keeps. Best effort: dispatch
+    /// never waits for the writer lock, and a trigger that finds it taken
+    /// resolves again next time.
+    fn keep_route(&self, route: Route) {
+        let Some(_writer) = self.writer.try_lock() else {
+            return;
+        };
+        let mut inner = PortInner::clone(&self.snap.pin());
+        inner.routes = Some(Route::table_with(inner.routes(), route));
+        // The wiring is unchanged, so the version is not bumped.
+        self.snap.publish(inner);
+    }
+
+    /// An event *exits* via this half, live: deliver to this half's
+    /// subscriptions (if the direction matches this half's sign) and forward
+    /// into this half's channels. Returns the aggregated admission feedback
+    /// of every mailbox reached (channels forward synchronously, so the
+    /// whole fan-out completes before this returns).
+    pub(crate) fn dispatch(self: &Arc<Self>, dir: Direction, event: &EventRef) -> Feedback {
+        let mut live = Live::default();
+        self.exit(dir, event, &mut live);
+        live.feedback
+    }
+
+    /// The port half of the one walk described in [`crate::route`]: what an
+    /// event exiting via this half comes to, handed to `sink` in order.
+    pub(crate) fn exit<S: Sink>(self: &Arc<Self>, dir: Direction, event: &EventRef, sink: &mut S) {
+        sink.crossing(&self.version);
+        // One RCU pin, zero Mutex acquisitions, zero allocations.
         // Subscriptions/channels/taps are read from the pinned snapshot;
         // concurrent subscribe/connect/reconfig publish a fresh snapshot
         // without invalidating this one.
         let snap = self.snap.pin();
+        if snap.keyed.is_some() && !snap.channels.is_empty() && sink.defer_exit(self) {
+            return;
+        }
         // Taps observe before subscriber work is enqueued, so a recorded
         // stream orders an event ahead of anything its handlers emit.
         for (_, tap) in &snap.taps {
-            tap(dir, &event);
+            sink.tap(tap, dir, event);
         }
-        let mut feedback = Feedback::default();
         if dir == self.sign {
             let subs = &snap.subscriptions;
             for (i, sub) in subs.iter().enumerate() {
@@ -425,6 +565,7 @@ impl PortCore {
                     continue;
                 }
                 let Some((cid, weak)) = sub.subscriber.get() else {
+                    sink.unbound();
                     continue;
                 };
                 // Deliver once per component even when several of its
@@ -436,20 +577,14 @@ impl PortCore {
                     event.is_instance_of(prev.event_type)
                         && prev.subscriber.get().is_some_and(|(pcid, _)| pcid == cid)
                 });
-                if duplicate {
-                    continue;
-                }
-                if let Some(core) = weak.upgrade() {
-                    let outcome =
-                        core.enqueue_work(WorkItem::new(Arc::clone(self), dir, Arc::clone(&event)));
-                    feedback.note(outcome);
+                if !duplicate {
+                    sink.deliver(weak, self, dir, event);
                 }
             }
         }
         for_each_selected_channel(&snap, event.as_ref(), dir, |channel| {
-            feedback.merge(channel.forward_from(self.id, self.sign, dir, Arc::clone(&event)));
+            channel.forward(self, dir, event, sink);
         });
-        feedback
     }
 
     /// Adds a subscription at this half.
@@ -484,8 +619,8 @@ impl PortCore {
 
     pub(crate) fn attach_channel(&self, id: ChannelId, key: Option<u64>, channel: Arc<Channel>) {
         self.mutate(|inner| {
-            if let Some(k) = key {
-                inner.keyed.entry(k).or_default().push(id);
+            if let Some(keyed) = &mut inner.keyed {
+                keyed.index(inner.channels.len(), key);
             }
             inner.channels.push(ChannelAttachment { id, key, channel });
         });
@@ -493,25 +628,17 @@ impl PortCore {
 
     /// Snapshot of the channels attached to this half.
     pub(crate) fn attached_channels(&self) -> Vec<Arc<Channel>> {
-        self.inner
-            .lock()
-            .channels
-            .iter()
-            .map(|a| Arc::clone(&a.channel))
-            .collect()
+        let wiring = self.wiring();
+        wiring.channels.iter().map(|a| a.channel.clone()).collect()
     }
 
     pub(crate) fn detach_channel(&self, id: ChannelId) -> bool {
         self.mutate(|inner| {
             let before = inner.channels.len();
-            if let Some(att) = inner.channels.iter().find(|a| a.id == id) {
-                if let Some(k) = att.key {
-                    if let Some(ids) = inner.keyed.get_mut(&k) {
-                        ids.retain(|cid| *cid != id);
-                    }
-                }
-            }
             inner.channels.retain(|a| a.id != id);
+            if let Some(keyed) = &mut inner.keyed {
+                keyed.reindex(&inner.channels);
+            }
             inner.channels.len() != before
         })
     }
@@ -565,35 +692,45 @@ impl PortCore {
     }
 }
 
-/// Invokes `f` for each channel the event should be forwarded into,
-/// honouring keyed dispatch when a key extractor is installed.
+/// Invokes `f` for each channel the event should be forwarded into, in
+/// attach order, honouring keyed dispatch when a key extractor is installed:
+/// an event with a key skips the channels attached under another key.
 fn for_each_selected_channel(
     inner: &PortInner,
     event: &dyn Event,
     dir: Direction,
     mut f: impl FnMut(&Arc<Channel>),
 ) {
-    if inner.channels.is_empty() {
+    let selection = inner.keyed.as_ref().and_then(|keyed| {
+        let key = (keyed.extractor)(event, dir)?;
+        let matching = keyed.by_key.get(&key).map_or(&[][..], Vec::as_slice);
+        Some((keyed.unkeyed.as_slice(), matching))
+    });
+    let Some((unkeyed, matching)) = selection else {
+        for a in &inner.channels {
+            f(&a.channel);
+        }
         return;
-    }
-    let key = inner
-        .key_extractor
-        .as_ref()
-        .and_then(|extract| extract(event, dir));
-    match key {
-        Some(k) => {
-            let keyed_ids: &[ChannelId] = inner.keyed.get(&k).map(Vec::as_slice).unwrap_or(&[]);
-            for a in &inner.channels {
-                if a.key.is_none() || keyed_ids.contains(&a.id) {
-                    f(&a.channel);
-                }
+    };
+    // Merge the two ascending position lists.
+    let (mut u, mut m) = (0, 0);
+    loop {
+        let position = match (unkeyed.get(u), matching.get(m)) {
+            (Some(&a), Some(&b)) if a < b => {
+                u += 1;
+                a
             }
-        }
-        None => {
-            for a in &inner.channels {
-                f(&a.channel);
+            (_, Some(&b)) => {
+                m += 1;
+                b
             }
-        }
+            (Some(&a), None) => {
+                u += 1;
+                a
+            }
+            (None, None) => return,
+        };
+        f(&inner.channels[position].channel);
     }
 }
 
@@ -690,7 +827,7 @@ impl<P: PortType> PortRef<P> {
 
     /// Like [`PortRef::trigger`] but takes an already-shared event.
     pub fn trigger_shared(&self, event: EventRef) -> Result<Feedback, CoreError> {
-        self.half.trigger_in(self.half.sign.opposite(), event)
+        self.half.trigger_in(self.half.sign.opposite(), &event)
     }
 
     /// Installs a key extractor on this half, enabling keyed channel
@@ -728,11 +865,7 @@ impl<P: PortType> PortRef<P> {
 
     /// The other half of this port pair, if still alive.
     pub fn pair_ref(&self) -> Option<PortRef<P>> {
-        self.half
-            .pair
-            .get()
-            .and_then(Weak::upgrade)
-            .map(PortRef::new)
+        self.half.pair().map(PortRef::new)
     }
 
     /// Whether this is the inside (owner-scope) half.
@@ -774,7 +907,7 @@ impl<P: PortType> OwnedPort<P> {
 
     fn trigger_shared(&self, event: EventRef) {
         let dir = self.inside.sign.opposite();
-        if let Err(err) = self.inside.trigger_in(dir, event) {
+        if let Err(err) = self.inside.trigger_in(dir, &event) {
             // A disallowed event type is a programming error, mirroring the
             // Java runtime exception; inside a handler this panics into the
             // fault-handling machinery.

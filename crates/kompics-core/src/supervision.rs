@@ -778,7 +778,7 @@ fn perform_restart(
     let _ = new_ref
         .core()
         .control_outside
-        .trigger_in(Direction::Negative, Arc::new(Start));
+        .trigger_new(Direction::Negative, Start);
     resume_all(&held);
     old_core.destroy_subtree();
     log_action(inner, &fault, SupervisionAction::Restarted { attempt });
