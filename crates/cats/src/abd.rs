@@ -3,18 +3,30 @@
 //!
 //! Implements the multi-writer ABD register per key:
 //!
-//! * **put** — phase 1 queries a majority for the highest write tag; phase 2
-//!   imposes the value under tag `(max.seq + 1, self)` on a majority;
-//! * **get** — phase 1 collects `(tag, value)` from a majority and picks the
-//!   maximum; phase 2 *writes back* that pair to a majority before
-//!   answering (the read-impose step that makes reads linearizable).
+//! * **put** — the read round queries a majority for the highest write tag;
+//!   the write round imposes the value under tag `(max.seq + 1, self)` —
+//!   or one past the last tag this coordinator minted, if that is higher —
+//!   on a majority. The tag is minted once per put: a retry imposes it
+//!   again;
+//! * **get** — the read round collects `(tag, value)` from a majority. When
+//!   every reply carries the same tag the get answers at once: a replica's
+//!   tag only grows, so a tag seen at a majority stays at a majority and
+//!   every later quorum meets it. When the replies disagree, the write round
+//!   first *writes back* the maximum pair, unchanged, to a majority (the
+//!   read-impose step that keeps a half-written value from being read and
+//!   then un-read).
 //!
 //! Every node is both a *coordinator* (serving its local clients' `PutGet`
 //! requests against any key's group) and a *replica* (serving quorum
-//! messages against its local store). Operation timeouts re-resolve the
-//! group and retry, masking stale views and churn.
+//! messages against its local store). One sweep timer per coordinator,
+//! armed only while operations are pending, expires attempts that got no
+//! quorum; an expired attempt re-resolves the group and retries under the
+//! same round id, masking stale views and churn. Replies of an earlier
+//! attempt still count when their sender is in the re-resolved group: each
+//! was produced after the operation began and tags only grow, so it is a
+//! valid lower bound on that replica's state.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -128,11 +140,10 @@ impl Default for AbdConfig {
 }
 
 #[derive(Debug, Clone)]
-struct OpTimeout {
+struct SweepTick {
     base: Timeout,
-    rid: u64,
 }
-impl_event!(OpTimeout, extends Timeout, via base);
+impl_event!(SweepTick, extends Timeout, via base);
 
 #[derive(Debug, Clone)]
 struct RepairTick {
@@ -147,14 +158,20 @@ const REPAIR_RID_BIT: u64 = 1 << 63;
 #[derive(Debug, Clone)]
 enum OpKind {
     Get,
-    Put(Vec<u8>),
+    /// The value, and the tag once the first attempt to reach a read quorum
+    /// has minted it.
+    Put(Vec<u8>, Option<Tag>),
 }
 
 #[derive(Debug)]
 enum Phase {
     Routing,
+    /// Read round: who answered, the highest tag among them with its value
+    /// (kept for gets only), and how many of them carry exactly that tag.
     Query {
-        replies: BTreeMap<u64, (Tag, Option<Vec<u8>>)>,
+        from: BTreeSet<u64>,
+        max: (Tag, Option<Vec<u8>>),
+        same: usize,
     },
     Update {
         acks: BTreeSet<u64>,
@@ -169,6 +186,9 @@ struct Op {
     phase: Phase,
     group: Vec<Address>,
     retries: u32,
+    /// The sweep firing (see [`ConsistentAbd::sweep`]) that expires this
+    /// attempt.
+    expires: u64,
 }
 
 /// The quorum read/write component: provides [`PutGet`] and [`Status`];
@@ -183,12 +203,19 @@ pub struct ConsistentAbd {
     self_addr: Address,
     config: AbdConfig,
     store: BTreeMap<u64, (Tag, Option<Vec<u8>>)>,
-    ops: HashMap<u64, Op>,
+    ops: BTreeMap<u64, Op>,
     next_rid: u64,
+    /// Highest sequence number this coordinator put into a tag.
+    minted_seq: u64,
+    /// Sweep firings so far, and whether one is armed.
+    sweeps: u64,
+    sweep_armed: bool,
     completed_ops: u64,
     failed_ops: u64,
+    one_round_gets: u64,
+    imposed_gets: u64,
     /// Lookups the router answered with [`Overloaded`] while the op was
-    /// still pending (the op timer retries them).
+    /// still pending (the sweep retries them).
     shed_lookups: u64,
     repair_cursor: u64,
     repairs_sent: u64,
@@ -208,17 +235,17 @@ impl ConsistentAbd {
             this.begin_op(req.id, req.key, OpKind::Get);
         });
         put_get.subscribe(|this: &mut ConsistentAbd, req: &PutRequest| {
-            this.begin_op(req.id, req.key, OpKind::Put(req.value.clone()));
+            this.begin_op(req.id, req.key, OpKind::Put(req.value.clone(), None));
         });
         routing.subscribe(|this: &mut ConsistentAbd, found: &GroupFound| {
             this.handle_group(found);
         });
         routing.subscribe(|this: &mut ConsistentAbd, shed: &Overloaded| {
-            // The router shed our lookup under overload. The op's timeout is
-            // already armed and retries the whole op from scratch, which
-            // respects the suggested delay implicitly (op timeouts are an
-            // order of magnitude above typical retry-after values); all we
-            // add here is visibility.
+            // The router shed our lookup under overload. The sweep is armed
+            // and retries the whole op from scratch, which respects the
+            // suggested delay implicitly (op timeouts are an order of
+            // magnitude above typical retry-after values); all we add here
+            // is visibility.
             if this.ops.contains_key(&shed.reqid) {
                 this.shed_lookups += 1;
             }
@@ -255,8 +282,8 @@ impl ConsistentAbd {
         net.subscribe(|this: &mut ConsistentAbd, ack: &WriteAckMsg| {
             this.handle_write_ack(ack);
         });
-        timer.subscribe(|this: &mut ConsistentAbd, t: &OpTimeout| {
-            this.handle_op_timeout(t.rid);
+        timer.subscribe(|this: &mut ConsistentAbd, _t: &SweepTick| {
+            this.sweep();
         });
         timer.subscribe(|this: &mut ConsistentAbd, _t: &RepairTick| {
             this.repair_round();
@@ -284,6 +311,8 @@ impl ConsistentAbd {
                     ("pending_ops".into(), this.ops.len().to_string()),
                     ("completed_ops".into(), this.completed_ops.to_string()),
                     ("failed_ops".into(), this.failed_ops.to_string()),
+                    ("one_round_gets".into(), this.one_round_gets.to_string()),
+                    ("imposed_gets".into(), this.imposed_gets.to_string()),
                     ("shed_lookups".into(), this.shed_lookups.to_string()),
                 ],
             });
@@ -299,10 +328,15 @@ impl ConsistentAbd {
             self_addr,
             config,
             store: BTreeMap::new(),
-            ops: HashMap::new(),
+            ops: BTreeMap::new(),
             next_rid: 1,
+            minted_seq: 0,
+            sweeps: 0,
+            sweep_armed: false,
             completed_ops: 0,
             failed_ops: 0,
+            one_round_gets: 0,
+            imposed_gets: 0,
             shed_lookups: 0,
             repair_cursor: 0,
             repairs_sent: 0,
@@ -317,6 +351,12 @@ impl ConsistentAbd {
     /// (completed, failed) coordinator operations.
     pub fn op_stats(&self) -> (u64, u64) {
         (self.completed_ops, self.failed_ops)
+    }
+
+    /// Completed gets that (answered after the read round, needed the
+    /// write-back round).
+    pub fn get_stats(&self) -> (u64, u64) {
+        (self.one_round_gets, self.imposed_gets)
     }
 
     /// Number of anti-entropy write-impositions sent so far.
@@ -341,20 +381,29 @@ impl ConsistentAbd {
                 phase: Phase::Routing,
                 group: Vec::new(),
                 retries: 0,
+                // An armed sweep is somewhere inside its period: its next
+                // firing may be too early, the one after is not.
+                expires: self.sweeps + 1 + u64::from(self.sweep_armed),
             },
         );
         self.routing.trigger(FindGroup { reqid: rid, key });
-        self.schedule_op_timeout(rid);
+        self.arm_sweep();
     }
 
-    fn schedule_op_timeout(&mut self, rid: u64) {
+    /// Arms the coordinator's one timer, `op_timeout` from now, unless it is
+    /// armed already. Only `begin_op` and `sweep` call this, so an idle
+    /// coordinator has no timer.
+    fn arm_sweep(&mut self) {
+        if self.sweep_armed {
+            return;
+        }
+        self.sweep_armed = true;
         let id = TimeoutId::fresh();
         self.timer.trigger(ScheduleTimeout::new(
             self.config.op_timeout,
             id,
-            Arc::new(OpTimeout {
+            Arc::new(SweepTick {
                 base: Timeout { id },
-                rid,
             }),
         ));
     }
@@ -371,20 +420,20 @@ impl ConsistentAbd {
             return;
         }
         if found.group.is_empty() {
-            // View not populated yet; the op timeout will retry.
+            // View not populated yet; the sweep will retry.
             return;
         }
         op.group = found.group.clone();
         op.phase = Phase::Query {
-            replies: BTreeMap::new(),
+            from: BTreeSet::new(),
+            max: (Tag::default(), None),
+            same: 0,
         };
-        let key = op.key;
-        let group = op.group.clone();
-        for replica in group {
+        for replica in &op.group {
             self.net.trigger(ReadQueryMsg {
-                base: Message::new(self.self_addr, replica),
+                base: Message::new(self.self_addr, *replica),
                 rid: found.reqid,
-                key,
+                key: op.key,
             });
         }
     }
@@ -397,56 +446,73 @@ impl ConsistentAbd {
         let Some(op) = self.ops.get_mut(&reply.rid) else {
             return;
         };
-        let Phase::Query { replies } = &mut op.phase else {
+        let Phase::Query { from, max, same } = &mut op.phase else {
             return;
         };
-        if !op.group.iter().any(|a| a.id == reply.base.source.id) {
-            return; // reply from outside the group of this attempt
+        let source = reply.base.source.id;
+        if !op.group.iter().any(|a| a.id == source) || !from.insert(source) {
+            return; // from outside this attempt's group, or a duplicate
         }
-        replies.insert(reply.base.source.id, (reply.tag, reply.value.clone()));
-        if replies.len() < Self::majority(&op.group) {
+        // `Tag::default()` is below every written tag and means "no value",
+        // which is what the fold starts from.
+        if reply.tag > max.0 {
+            (max.0, *same) = (reply.tag, 0);
+            if matches!(op.kind, OpKind::Get) {
+                max.1.clone_from(&reply.value);
+            }
+        }
+        *same += usize::from(reply.tag == max.0);
+        if from.len() < Self::majority(&op.group) {
             return;
         }
-        // Majority collected: decide the phase-2 (tag, value).
-        let (max_tag, max_value) = replies
-            .values()
-            .max_by_key(|(tag, _)| *tag)
-            .cloned()
-            .expect("majority is non-empty");
-        let (tag, value, result) = match &op.kind {
-            OpKind::Get => (max_tag, max_value.clone(), max_value),
-            OpKind::Put(new_value) => (
-                Tag {
-                    seq: max_tag.seq + 1,
-                    writer: self.self_addr.id,
-                },
-                Some(new_value.clone()),
-                None,
-            ),
-        };
-        op.phase = Phase::Update {
-            acks: BTreeSet::new(),
-            result,
+        // Majority collected.
+        let (max_tag, max_value, agreed) = (max.0, max.1.take(), *same == from.len());
+        let (tag, value) = match &mut op.kind {
+            OpKind::Get if agreed => {
+                self.one_round_gets += 1;
+                self.complete(reply.rid, max_value);
+                return;
+            }
+            OpKind::Get => (max_tag, max_value),
+            OpKind::Put(new_value, minted) => {
+                // Above the maximum read, and above every tag minted here
+                // before: two concurrent puts of this coordinator read the
+                // same maximum and must still not share a tag. A retry
+                // re-imposes the tag it has — under a fresh one the value
+                // would be written a second time, after whatever overwrote
+                // the first.
+                let tag = *minted.get_or_insert_with(|| {
+                    self.minted_seq = self.minted_seq.max(max_tag.seq) + 1;
+                    Tag {
+                        seq: self.minted_seq,
+                        writer: self.self_addr.id,
+                    }
+                });
+                (tag, Some(new_value.clone()))
+            }
         };
         let rid = reply.rid;
         let key = op.key;
-        let group = op.group.clone();
-        for replica in group {
+        for replica in &op.group {
             self.net.trigger(WriteQueryMsg {
-                base: Message::new(self.self_addr, replica),
+                base: Message::new(self.self_addr, *replica),
                 rid,
                 key,
                 tag,
                 value: value.clone(),
             });
         }
+        op.phase = Phase::Update {
+            acks: BTreeSet::new(),
+            result: value,
+        };
     }
 
     fn handle_write_ack(&mut self, ack: &WriteAckMsg) {
         let Some(op) = self.ops.get_mut(&ack.rid) else {
             return;
         };
-        let Phase::Update { acks, .. } = &mut op.phase else {
+        let Phase::Update { acks, result } = &mut op.phase else {
             return;
         };
         if !op.group.iter().any(|a| a.id == ack.base.source.id) {
@@ -456,25 +522,25 @@ impl ConsistentAbd {
         if acks.len() < Self::majority(&op.group) {
             return;
         }
-        let op = self.ops.remove(&ack.rid).expect("present above");
+        let result = result.take();
+        self.imposed_gets += u64::from(matches!(op.kind, OpKind::Get));
+        self.complete(ack.rid, result);
+    }
+
+    /// Answers the client of operation `rid`; `value` is what a get read.
+    fn complete(&mut self, rid: u64, value: Option<Vec<u8>>) {
+        let op = self.ops.remove(&rid).expect("completed ops are pending");
         self.completed_ops += 1;
         match op.kind {
-            OpKind::Get => {
-                let Phase::Update { result, .. } = op.phase else {
-                    unreachable!()
-                };
-                self.put_get.trigger(GetResponse {
-                    id: op.client_id,
-                    key: op.key,
-                    value: result,
-                });
-            }
-            OpKind::Put(_) => {
-                self.put_get.trigger(PutResponse {
-                    id: op.client_id,
-                    key: op.key,
-                });
-            }
+            OpKind::Get => self.put_get.trigger(GetResponse {
+                id: op.client_id,
+                key: op.key,
+                value,
+            }),
+            OpKind::Put(..) => self.put_get.trigger(PutResponse {
+                id: op.client_id,
+                key: op.key,
+            }),
         }
     }
 
@@ -525,27 +591,38 @@ impl ConsistentAbd {
         }
     }
 
-    fn handle_op_timeout(&mut self, rid: u64) {
-        let Some(op) = self.ops.get_mut(&rid) else {
-            return;
-        };
-        op.retries += 1;
-        if op.retries > self.config.max_retries {
-            let op = self.ops.remove(&rid).expect("present above");
-            self.failed_ops += 1;
-            self.put_get.trigger(OpFailed {
-                id: op.client_id,
-                key: op.key,
-                reason: format!("no quorum after {} attempts", op.retries),
-            });
-            return;
+    /// One firing of the coordinator's timer: every attempt whose `expires`
+    /// has come is retried from scratch (or failed), and the timer is
+    /// re-armed while anything is pending. An attempt begun with no sweep
+    /// armed, and every retry, lives exactly `op_timeout`; one begun inside
+    /// an armed period lives between one and two `op_timeout`.
+    fn sweep(&mut self) {
+        self.sweep_armed = false;
+        self.sweeps += 1;
+        let due = (self.ops.iter()).filter(|(_, op)| op.expires <= self.sweeps);
+        for rid in due.map(|(rid, _)| *rid).collect::<Vec<u64>>() {
+            let op = self.ops.get_mut(&rid).expect("collected above");
+            op.retries += 1;
+            if op.retries > self.config.max_retries {
+                let op = self.ops.remove(&rid).expect("present above");
+                self.failed_ops += 1;
+                self.put_get.trigger(OpFailed {
+                    id: op.client_id,
+                    key: op.key,
+                    reason: format!("no quorum after {} attempts", op.retries),
+                });
+                continue;
+            }
+            // Retry from scratch: re-resolve the group (it may have changed).
+            op.phase = Phase::Routing;
+            op.group.clear();
+            op.expires = self.sweeps + 1;
+            let key = op.key;
+            self.routing.trigger(FindGroup { reqid: rid, key });
         }
-        // Retry from scratch: re-resolve the group (it may have changed).
-        op.phase = Phase::Routing;
-        op.group.clear();
-        let key = op.key;
-        self.routing.trigger(FindGroup { reqid: rid, key });
-        self.schedule_op_timeout(rid);
+        if !self.ops.is_empty() {
+            self.arm_sweep();
+        }
     }
 }
 

@@ -2,16 +2,18 @@
 //! choreography, plus the role bindings and runtime-monitor classifier that
 //! connect it to the live components.
 //!
-//! A single choreography covers both operations because `get` and `put` are
-//! *wire-identical* in CATS: both run a read round (collect `(tag, value)`
-//! from a majority) followed by a write-impose round (a `get` writes back
-//! the maximum it read, a `put` imposes an incremented tag). The checker's
-//! bisimulation merge collapses the two branches into one replica machine,
-//! which is exactly why a replica never needs to know which operation it is
-//! serving.
+//! Every operation runs a read round (collect `(tag, value)` from a
+//! majority); the coordinator then *chooses* between ending there — a `get`
+//! whose quorum agreed on one tag — and a write round (a `put` imposing an
+//! incremented tag, or a `get` writing back the maximum it read). The choice
+//! is not announced: a replica keeps no session state, answers each query
+//! as it comes and never needs to know whether another follows. The checker
+//! says exactly that about the replica — one `protocol-non-exhaustive-choice`
+//! warning, "may stop here or await `WriteQueryMsg`" — and the warning is
+//! pinned by a test rather than silenced with a message nobody would read.
 
 use kompics_choreo::check::RoleBinding;
-use kompics_choreo::global::{choice, end, round, Choreography, Global};
+use kompics_choreo::global::{choice, end, round, Choreography};
 use kompics_choreo::monitor::Obs;
 use kompics_core::analyze::ComponentSurface;
 use kompics_core::event::{event_as, EventRef};
@@ -24,43 +26,38 @@ pub const COORDINATOR: &str = "coordinator";
 /// Role family name of the replication group members.
 pub const REPLICA: &str = "replica";
 
-/// One read round followed by one write round, quorum-bounded.
-fn two_rounds(quorum: usize) -> Global {
-    round(
-        COORDINATOR,
-        REPLICA,
-        "ReadQueryMsg",
-        "ReadReplyMsg",
-        quorum,
-        round(
-            COORDINATOR,
-            REPLICA,
-            "WriteQueryMsg",
-            "WriteAckMsg",
-            quorum,
-            end(),
-        ),
-    )
-}
-
 /// The full ABD operation over a replication group of `replicas` members
 /// with the given read/write `quorum`:
 ///
 /// ```text
-/// coordinator chooses { get, put }, both:
-///   coordinator -> every replica: ReadQueryMsg.
-///   quorum of replicas -> coordinator: ReadReplyMsg.   (stragglers absorbed)
-///   coordinator -> every replica: WriteQueryMsg.
+/// coordinator -> every replica: ReadQueryMsg.
+/// quorum of replicas -> coordinator: ReadReplyMsg.     (stragglers absorbed)
+/// coordinator chooses {
+///   end                                  (get, the quorum agreed on a tag)
+/// | coordinator -> every replica: WriteQueryMsg.       (put, or write-back)
 ///   quorum of replicas -> coordinator: WriteAckMsg.    (stragglers absorbed)
-/// end
+///   end
+/// }
 /// ```
 pub fn abd_operation(replicas: usize, quorum: usize) -> Choreography {
+    let write_round = round(
+        COORDINATOR,
+        REPLICA,
+        "WriteQueryMsg",
+        "WriteAckMsg",
+        quorum,
+        end(),
+    );
     Choreography::new("abd-operation")
         .role(COORDINATOR)
         .family(REPLICA, replicas)
-        .body(choice(
+        .body(round(
             COORDINATOR,
-            vec![two_rounds(quorum), two_rounds(quorum)],
+            REPLICA,
+            "ReadQueryMsg",
+            "ReadReplyMsg",
+            quorum,
+            choice(COORDINATOR, vec![end(), write_round]),
         ))
 }
 
@@ -93,8 +90,8 @@ pub fn cyclon_bindings(overlay: ComponentSurface) -> Vec<RoleBinding> {
 }
 
 /// Classifies a tapped `Network` event for an ABD conformance monitor: the
-/// session key is the operation's round id (one `rid` spans the read and
-/// write rounds of a single `get`/`put`), and the direction follows the
+/// session key is the operation's round id (one `rid` spans the rounds, and
+/// the retries, of a single `get`/`put`), and the direction follows the
 /// port polarity — requests leaving the role are sends, indications
 /// arriving at it are receives.
 pub fn abd_classify(dir: Direction, event: &EventRef) -> Option<(String, Obs)> {
@@ -122,23 +119,49 @@ mod tests {
     use kompics_choreo::check::check;
     use kompics_choreo::product::explore;
     use kompics_choreo::project::project;
+    use kompics_core::analyze::{Finding, Report};
 
-    #[test]
-    fn abd_operation_checks_clean() {
-        let report = check(&abd_operation_default());
-        assert!(report.is_clean(), "{}", report.render_text());
+    /// The one fact the checker reports, from its two angles: a replica
+    /// that answered the read round cannot tell whether a write round
+    /// follows (projection), so the operation may end with a `WriteQueryMsg`
+    /// it never took (product: once per replica that the write quorum can
+    /// do without). True, and harmless — a replica keeps no session state to
+    /// leak — so it is pinned, not fixed.
+    fn assert_only_the_unannounced_choice(report: &Report, replicas: usize) {
+        let stragglers = if replicas / 2 + 1 < replicas {
+            replicas
+        } else {
+            0
+        };
+        let text = report.render_text();
+        assert_eq!(report.errors(), 0, "replicas={replicas}: {text}");
+        let count = |rule: &str| {
+            let named = |f: &&Finding| f.kind.name() == rule && f.to_string().contains(REPLICA);
+            report.findings().iter().filter(named).count()
+        };
+        assert_eq!(count("protocol-non-exhaustive-choice"), 1, "{text}");
+        assert_eq!(count("protocol-orphan-message"), stragglers, "{text}");
+        assert_eq!(report.findings().len(), 1 + stragglers, "{text}");
+        assert!(
+            text.contains("may stop here or await `WriteQueryMsg`"),
+            "{text}"
+        );
     }
 
     #[test]
-    fn abd_checks_clean_for_any_majority_quorum() {
+    fn abd_operation_reports_the_unannounced_choice_and_nothing_else() {
+        assert_only_the_unannounced_choice(&check(&abd_operation_default()), 3);
+    }
+
+    #[test]
+    fn abd_is_stuck_free_for_any_majority_quorum() {
         for replicas in 1..=5 {
-            let quorum = replicas / 2 + 1;
-            let report = check(&abd_operation(replicas, quorum));
-            assert!(
-                report.is_clean(),
-                "replicas={replicas}: {}",
-                report.render_text()
-            );
+            let choreo = abd_operation(replicas, replicas / 2 + 1);
+            assert_only_the_unannounced_choice(&check(&choreo), replicas);
+            let (projections, _) = project(&choreo);
+            let product = explore(&projections);
+            assert!(product.stuck.is_none(), "replicas={replicas}");
+            assert!(!product.truncated, "replicas={replicas}");
         }
     }
 
@@ -154,17 +177,17 @@ mod tests {
     }
 
     #[test]
-    fn get_and_put_branches_merge_into_one_replica_machine() {
-        let (projections, issues) = project(&abd_operation_default());
-        assert!(issues.is_empty(), "{issues:?}");
+    fn the_replica_machine_is_the_five_state_chain() {
+        let (projections, _) = project(&abd_operation_default());
         let replica = projections
             .iter()
             .find(|p| p.role == REPLICA)
             .expect("replica projection");
-        // Wire-identical branches collapse: the replica machine is the
-        // four-step query/reply/impose/ack chain, nothing more.
-        assert_eq!(replica.automaton.len(), 5, "{:?}", replica.automaton);
-        let product = explore(&projections);
-        assert!(product.stuck.is_none());
+        // query, reply, impose, ack — and the state after the reply is one
+        // a replica may stop in.
+        let a = &replica.automaton;
+        assert_eq!(a.len(), 5, "{a:?}");
+        assert_eq!(a.accepting.iter().filter(|x| **x).count(), 2, "{a:?}");
+        assert!(!a.accepting[a.start]);
     }
 }

@@ -12,9 +12,13 @@
 //!   ring and the Cyclon node-sampling service, resolving any key to its
 //!   replication group in one hop;
 //! * [`abd`] — **Consistent ABD**: quorum-based linearizable `get`/`put`
-//!   (read-impose write-back majority quorums over the replication group);
+//!   over majority quorums of the replication group; a `get` whose read
+//!   quorum agrees on one tag answers after that one round, any other
+//!   writes the maximum back first;
 //! * [`choreo`] — the ABD wire protocol as a session-typed **choreography**
-//!   for the `kompics-choreo` checker, plus its runtime conformance hooks;
+//!   (a read round, then the coordinator's choice between ending and a
+//!   write round) for the `kompics-choreo` checker, plus its runtime
+//!   conformance hooks;
 //! * [`node`] — the **CATS Node** composite of Figure 11: encapsulates the
 //!   failure detector, ring, router, Cyclon, ABD, bootstrap and monitoring
 //!   clients behind `PutGet`/`Status`/`Web` ports, hiding all event-driven

@@ -334,6 +334,12 @@ impl CatsNode {
         self.abd.on_definition(|a| a.stored_keys())
     }
 
+    /// Gets this coordinator completed (in one round, after a write-back);
+    /// see [`ConsistentAbd::get_stats`].
+    pub fn get_stats(&self) -> Result<(u64, u64), CoreError> {
+        self.abd.on_definition(|a| a.get_stats())
+    }
+
     /// The ABD replication component's handled-event surface — the
     /// role-binding input for the [`kompics_choreo`] protocol checker.
     pub fn abd_surface(&self) -> kompics_core::analyze::ComponentSurface {

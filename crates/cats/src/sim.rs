@@ -130,6 +130,18 @@ impl CatsSimulator {
         &self.stats
     }
 
+    /// Gets the alive nodes' coordinators completed, summed: (in one round,
+    /// after a write-back). What a node counted dies with it.
+    pub fn get_stats(&self) -> (u64, u64) {
+        let mut sum = (0, 0);
+        for entry in self.nodes.values() {
+            if let Ok(Ok((one_round, imposed))) = entry.node.on_definition(|n| n.get_stats()) {
+                sum = (sum.0 + one_round, sum.1 + imposed);
+            }
+        }
+        sum
+    }
+
     /// Whether every alive node's ring join has completed.
     pub fn all_joined(&self) -> bool {
         self.nodes

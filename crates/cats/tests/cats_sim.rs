@@ -6,7 +6,7 @@ use std::time::Duration;
 use cats::abd::AbdConfig;
 use cats::experiments::{CatsOp, ExperimentOp};
 use cats::key::RingKey;
-use cats::lin::check_linearizable;
+use cats::lin::{check_linearizable, RegisterOp};
 use cats::node::CatsConfig;
 use cats::node::CatsNode;
 use cats::ring::RingConfig;
@@ -293,6 +293,85 @@ fn history_under_churn_is_linearizable_per_key() {
                 let records: Vec<_> = s
                     .history()
                     .iter()
+                    .filter(|h| h.key == RingKey(key))
+                    .map(|h| h.record)
+                    .collect();
+                if let Err(witness) = check_linearizable(&records) {
+                    panic!("history for key {key} not linearizable: {witness}");
+                }
+            }
+        })
+        .unwrap();
+    f.sim.shutdown();
+}
+
+/// What the one-round get is worth where it is hardest to earn: gets racing
+/// puts on a few hot keys while nodes come and go. Nearly every get still
+/// finds its quorum agreeing; the rest — a put half-way through its write
+/// round, a replica that joined a group and has not been repaired yet — pay
+/// the write-back. (EXPERIMENTS.md E7 quotes the share this prints.)
+#[test]
+fn most_gets_under_churn_are_one_round_and_the_rest_are_imposed() {
+    let f = fixture(11);
+    boot_nodes(
+        &f,
+        &[100, 200, 300, 400, 500, 600, 700, 800, 900, 1000],
+        12_000,
+    );
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    // Twenty operations a second for a minute on eight keys, one in five a
+    // put, from every node; a join or a failure every ten seconds.
+    for i in 0..1200u64 {
+        let (node, key) = (next() % 1000, RingKey(next() % 8));
+        if i % 5 == 0 {
+            let value = (i + 1).to_le_bytes().to_vec();
+            f.op(CatsOp::Put { node, key, value });
+        } else {
+            f.op(CatsOp::Get { node, key });
+        }
+        match i {
+            200 => f.op(CatsOp::Fail(300)),
+            400 => f.op(CatsOp::Join(350)),
+            600 => f.op(CatsOp::Fail(800)),
+            800 => f.op(CatsOp::Join(850)),
+            1000 => f.op(CatsOp::Fail(100)),
+            _ => {}
+        }
+        f.run_ms(50);
+    }
+    f.run_ms(10_000);
+
+    f.simulator
+        .on_definition(|s| {
+            let stats = s.stats();
+            assert_eq!(stats.completed + stats.failed, stats.issued);
+            let gets = s
+                .history()
+                .iter()
+                .filter(|h| matches!(h.record.op, RegisterOp::Read(_)))
+                .count() as u64;
+            let (one_round, imposed) = s.get_stats();
+            // The three nodes that failed took their counters with them.
+            assert!(one_round + imposed <= gets);
+            assert!(
+                one_round + imposed > gets * 6 / 10,
+                "{one_round}+{imposed} of {gets}"
+            );
+            let share = one_round as f64 / (one_round + imposed) as f64;
+            println!(
+                "one-round share under churn: {one_round} of {} gets = {share:.3}",
+                one_round + imposed
+            );
+            assert!(imposed > 0, "no get raced a put in a minute of churn");
+            assert!(share > 0.9, "one-round share {share:.3}");
+            for key in 0..8u64 {
+                let records: Vec<_> = (s.history().iter())
                     .filter(|h| h.key == RingKey(key))
                     .map(|h| h.record)
                     .collect();

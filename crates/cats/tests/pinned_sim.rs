@@ -30,8 +30,8 @@ use kompics_protocols::cyclon::CyclonConfig;
 use kompics_protocols::fd::FdConfig;
 use kompics_simulation::{EmulatorConfig, Simulation};
 
-const EVENTS_EXECUTED: u64 = 118_950;
-const HISTORY_HASH: u64 = 13_116_775_568_239_895_260;
+const EVENTS_EXECUTED: u64 = 100_786;
+const HISTORY_HASH: u64 = 3_482_041_934_302_031_739;
 const OPERATIONS: usize = 600;
 
 const SEC: u64 = 1_000_000_000;

@@ -3,7 +3,13 @@
 //! A dedicated thread sleeps until the earliest deadline in a binary heap
 //! and triggers the scheduled [`Timeout`] indications on the component's
 //! provided [`Timer`] port. One-shot and periodic schedules are supported;
-//! cancellation is lazy (cancelled entries are skipped when they surface).
+//! cancellation is lazy: `live` holds the ids that are armed and not
+//! cancelled, a cancel only removes from it, and an entry that surfaces
+//! without its id there is skipped. The set is therefore never larger than
+//! the heap, whatever is cancelled and however often (and an id armed
+//! twice while the first is pending fires once, as under `SimTimer`). The
+//! thread is woken only by an arm that becomes the earliest deadline — a
+//! later one is found when the thread next looks.
 //!
 //! The timer thread cooperates with mailbox back-pressure: each firing uses
 //! the feedback-reporting trigger, and when a destination's bounded `Block`
@@ -55,7 +61,8 @@ impl Ord for Entry {
 #[derive(Default)]
 struct TimerState {
     heap: BinaryHeap<Reverse<Entry>>,
-    cancelled: HashSet<TimeoutId>,
+    /// Ids in `heap` that have not been cancelled.
+    live: HashSet<TimeoutId>,
     shutdown: bool,
 }
 
@@ -67,6 +74,9 @@ struct Shared {
     pushback_pause: Duration,
     /// Pauses taken because a firing reported pushback.
     pushback_pauses: AtomicU64,
+    /// Times the timer thread came back from waiting on `cv`.
+    #[cfg(test)]
+    wakeups: AtomicU64,
 }
 
 /// Real-time timer component: provides [`Timer`], backed by a timer thread.
@@ -100,6 +110,8 @@ impl ThreadTimer {
             cv: Condvar::new(),
             pushback_pause,
             pushback_pauses: AtomicU64::new(0),
+            #[cfg(test)]
+            wakeups: AtomicU64::new(0),
         });
 
         timer.subscribe(|this: &mut ThreadTimer, req: &ScheduleTimeout| {
@@ -139,23 +151,30 @@ impl ThreadTimer {
         period: Option<Duration>,
         event: EventRef,
     ) {
-        {
+        // komlint: allow(wall-clock) reason="ThreadTimer IS the real-time timer implementation; simulation swaps in SimTimer"
+        let deadline = Instant::now() + delay;
+        let earliest = {
             let mut state = self.shared.state.lock();
-            state.cancelled.remove(&id);
+            let earliest = (state.heap.peek()).is_none_or(|Reverse(next)| deadline < next.deadline);
+            state.live.insert(id);
             state.heap.push(Reverse(Entry {
-                // komlint: allow(wall-clock) reason="ThreadTimer IS the real-time timer implementation; simulation swaps in SimTimer"
-                deadline: Instant::now() + delay,
+                deadline,
                 id,
                 event,
                 period,
             }));
+            earliest
+        };
+        // The thread sleeps until the heap's earliest deadline: only an
+        // earlier one is news to it.
+        if earliest {
+            self.shared.cv.notify_all();
         }
-        self.shared.cv.notify_all();
     }
 
     fn cancel(&mut self, id: TimeoutId) {
-        self.shared.state.lock().cancelled.insert(id);
-        self.shared.cv.notify_all();
+        // Nothing to wake for: the entry is skipped when it surfaces.
+        self.shared.state.lock().live.remove(&id);
     }
 
     fn ensure_thread(&mut self) {
@@ -185,25 +204,32 @@ fn timer_loop(shared: Arc<Shared>, port: PortRef<Timer>) {
                 match state.heap.peek() {
                     None => {
                         shared.cv.wait(&mut state);
+                        #[cfg(test)]
+                        shared.wakeups.fetch_add(1, Ordering::Relaxed);
                     }
                     Some(Reverse(next)) => {
                         // komlint: allow(wall-clock) reason="expiry check on the dedicated timer thread of the real-time timer"
                         let now = Instant::now();
                         if next.deadline <= now {
-                            break Some(state.heap.pop().expect("peeked").0);
+                            let entry = state.heap.pop().expect("peeked").0;
+                            // A one-shot leaves `live` as it fires; a periodic
+                            // entry stays until it is cancelled.
+                            let live = match entry.period {
+                                None => state.live.remove(&entry.id),
+                                Some(_) => state.live.contains(&entry.id),
+                            };
+                            break live.then_some(entry);
                         }
                         let wait = next.deadline - now;
                         shared.cv.wait_for(&mut state, wait);
+                        #[cfg(test)]
+                        shared.wakeups.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
         };
+        // `None`: the entry that surfaced had been cancelled.
         if let Some(entry) = due {
-            // A cancelled entry is dropped here (and the tombstone with it).
-            let cancelled = shared.state.lock().cancelled.remove(&entry.id);
-            if cancelled {
-                continue;
-            }
             match port.trigger_shared(entry.event.clone()) {
                 Ok(feedback) if feedback.pushback => {
                     // A destination's Block lane is saturated: pause the
@@ -217,6 +243,9 @@ fn timer_loop(shared: Arc<Shared>, port: PortRef<Timer>) {
             }
             if let Some(period) = entry.period {
                 let mut state = shared.state.lock();
+                if !state.live.contains(&entry.id) {
+                    continue; // cancelled while it was being delivered
+                }
                 state.heap.push(Reverse(Entry {
                     // komlint: allow(wall-clock) reason="periodic re-arm on the dedicated timer thread of the real-time timer"
                     deadline: Instant::now() + period,
@@ -374,6 +403,76 @@ mod tests {
         std::thread::sleep(Duration::from_millis(200));
         assert_eq!(count.load(Ordering::SeqCst), 0);
         assert!(fired.lock().is_empty());
+        system.shutdown();
+    }
+
+    #[test]
+    fn an_arm_later_than_the_earliest_deadline_does_not_wake_the_thread() {
+        let (system, timer, user, _fired, count) = setup();
+        let wakeups = |t: &Component<ThreadTimer>| {
+            t.on_definition(|t| t.shared.wakeups.load(Ordering::Relaxed))
+                .unwrap()
+        };
+        // Whether or not the first arm found the thread waiting already, it
+        // ends up asleep until that deadline, an hour away.
+        user.on_definition(|u| u.schedule(3_600_000, 1)).unwrap();
+        system.await_quiescence();
+        std::thread::sleep(Duration::from_millis(50));
+        let asleep = wakeups(&timer);
+        // Later deadlines, and cancels, are none of its business...
+        let ids: Vec<TimeoutId> = user
+            .on_definition(|u| (0..100).map(|i| u.schedule(7_200_000 + i, 2)).collect())
+            .unwrap();
+        user.on_definition(|u| {
+            for id in ids {
+                u.timer.trigger(CancelTimeout { id });
+            }
+        })
+        .unwrap();
+        system.await_quiescence();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(wakeups(&timer), asleep);
+        // ... an earlier one is.
+        user.on_definition(|u| u.schedule(1, 3)).unwrap();
+        assert!(wait_for(&count, 1, 2_000));
+        assert!(wakeups(&timer) > asleep);
+        system.shutdown();
+    }
+
+    #[test]
+    fn cancelling_what_fired_or_never_existed_leaves_nothing_behind() {
+        let (system, timer, user, _fired, count) = setup();
+        const N: usize = 10_000;
+        let ids: Vec<TimeoutId> = user
+            .on_definition(|u| (0..N).map(|_| u.schedule(0, 1)).collect())
+            .unwrap();
+        assert!(wait_for(&count, N, 10_000));
+        user.on_definition(|u| {
+            for id in ids {
+                u.timer.trigger(CancelTimeout { id });
+                u.timer.trigger(CancelTimeout {
+                    id: TimeoutId::fresh(),
+                });
+            }
+        })
+        .unwrap();
+        system.await_quiescence();
+        let (heap, live) = timer
+            .on_definition(|t| {
+                let state = t.shared.state.lock();
+                (state.heap.len(), state.live.len())
+            })
+            .unwrap();
+        assert_eq!((heap, live), (0, 0));
+        // A cancel that does find its entry still stops it.
+        let id = user.on_definition(|u| u.schedule(50, 2)).unwrap();
+        user.on_definition(|u| u.timer.trigger(CancelTimeout { id }))
+            .unwrap();
+        system.await_quiescence();
+        std::thread::sleep(Duration::from_millis(150));
+        assert_eq!(count.load(Ordering::SeqCst), N);
+        let state = timer.on_definition(|t| t.shared.state.lock().heap.len());
+        assert_eq!(state.unwrap(), 0, "the cancelled entry surfaced and went");
         system.shutdown();
     }
 
